@@ -97,11 +97,8 @@ from .weaktopo import (
 from .numerics import (
     QuadratureConfig,
     integrate_1d,
-    sum_series,
     min_eig_sym,
     solve_lp,
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
 )
 
 __version__ = "0.1.0"

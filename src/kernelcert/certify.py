@@ -28,6 +28,7 @@ import numpy as np
 
 from . import kernels as K
 from .kernels import KernelDescriptor, kernel_class
+from .measures import sinc_sq_spectrum
 
 PROPERTIES = (
     "c_universal",
@@ -88,65 +89,32 @@ def _cert(k, prop, verdict, rule, witness=None, details=None):
                        witness_ref=witness, details=details or {})
 
 
-def _a1_flags(k):
-    return K._A1_FLAGS[k.family]
-
-
-def _band_witness_ref(k):
-    spec = K.spectral(k)
-    from .measures import sinc_sq_spectrum
-    w = sinc_sq_spectrum()[0]
-    return {
-        "kind": "bandlimited_zero_energy",
-        "omega0": spec.support.half_width + w + 1.0,
-    }
-
-
-def _grid_witness_ref(k):
-    l = k.param("l")
-    return {"kind": "torus_zero_energy_grid", "n0": l + 1, "grid_size": 2 * (l + 1)}
-
-
-def _null_witness_ref(k):
-    if kernel_class(k) == "a2":
-        l = k.param("l")
-        return {"kind": "gram_null", "points": "equispaced", "count": 2 * l + 3}
-    return {"kind": "gram_null", "points": [[0.0] * k.space.dim, [1.0] * k.space.dim]}
-
-
-def _pair_witness_ref(k):
-    if kernel_class(k) == "a2":
-        return {"kind": "indistinguishable_pair", "from": _grid_witness_ref(k)}
-    return {"kind": "indistinguishable_pair",
-            "from": {"kind": "gram_null", "points": [[0.0] * k.space.dim, [1.0] * k.space.dim]}}
+def _pair_ref(inner):
+    return {"kind": "indistinguishable_pair", "from": inner}
 
 
 def certify(k: KernelDescriptor, prop: str) -> Certificate:
     """Decide a property of a zoo kernel from its spectral metadata."""
     if prop not in PROPERTIES:
         raise UnsupportedPropertyError(f"unknown property {prop!r}")
-    klass = kernel_class(k)
-
     if prop == "c_universal" and not k.space.is_torus:
         raise UnsupportedPropertyError("c_universal needs a compact space")
-
-    if klass == "a1":
-        return _certify_a1(k, prop)
-    if klass == "a2":
-        return _certify_a2(k, prop)
-    if klass in ("a3", "constant"):
-        return _certify_a3(k, prop)
-    return _certify_a4(k, prop)
+    return _RULES[kernel_class(k)](k, prop)
 
 
 def _certify_a1(k, prop):
     spec = K.spectral(k)
     full = spec.support.kind == "full_space"
-    in_c0, integrable = _a1_flags(k)
+    family = K.family_spec(k)
+    in_c0, integrable = family.vanishes, family.integrable
+    band_ref = None if full else {
+        "kind": "bandlimited_zero_energy",
+        "omega0": spec.support.half_width + sinc_sq_spectrum()[0] + 1.0,
+    }
     if prop == "c0_universal":
         if full:
             return _cert(k, prop, HOLDS, "a1_support_full")
-        return _cert(k, prop, FAILS, "a1_support_gap", witness=_band_witness_ref(k))
+        return _cert(k, prop, FAILS, "a1_support_gap", witness=band_ref)
     if prop == "characteristic":
         if not in_c0:
             return _cert(k, prop, UNKNOWN, "a4_open")
@@ -154,8 +122,7 @@ def _certify_a1(k, prop):
             return _cert(k, prop, HOLDS, "a1_characteristic_support")
         # the zero-mass band-limited density is the refutation artifact; its
         # normalized halves are indistinguishable probability densities
-        return _cert(k, prop, FAILS, "a1_characteristic_support",
-                     witness=_band_witness_ref(k))
+        return _cert(k, prop, FAILS, "a1_characteristic_support", witness=band_ref)
     if prop == "strictly_pd":
         if spec.support.interior_nonempty:
             return _cert(k, prop, HOLDS, "a1_spectral_interior_spd")
@@ -179,13 +146,18 @@ def _certify_a2(k, prop):
     spec = K.spectral(k)
     positive = spec.support.kind == "all_integers"
     coeff0 = spec.coeff_axis(0)
+    grid_ref = null_ref = None
+    if not positive:
+        l = max(spec.support.frequencies)
+        grid_ref = {"kind": "torus_zero_energy_grid", "n0": l + 1, "grid_size": 2 * (l + 1)}
+        null_ref = {"kind": "gram_null", "points": "equispaced", "count": 2 * l + 3}
     if prop in ("c_universal", "c0_universal", "cc_universal"):
         if positive:
             base = _cert(k, "c_universal", HOLDS, "a2_coefficients_positive",
                          details={"coefficient_at_zero": coeff0})
         else:
             base = _cert(k, "c_universal", FAILS, "a2_coefficient_zero",
-                         witness=_grid_witness_ref(k),
+                         witness=grid_ref,
                          details={"coefficient_at_zero": coeff0})
         if prop == "c_universal":
             return base
@@ -197,39 +169,37 @@ def _certify_a2(k, prop):
             return _cert(k, prop, HOLDS, "a2_characteristic_coefficients",
                          details={"coefficient_at_zero": coeff0})
         return _cert(k, prop, FAILS, "a2_characteristic_coefficients",
-                     witness=_pair_witness_ref(k),
+                     witness=_pair_ref(grid_ref),
                      details={"coefficient_at_zero": coeff0})
     if prop == "strictly_pd":
         if positive:
             return _cert(k, prop, HOLDS, "universal_implies_spd")
-        return _cert(k, prop, FAILS, "a2_finite_spectrum_rank",
-                     witness=_null_witness_ref(k))
+        return _cert(k, prop, FAILS, "a2_finite_spectrum_rank", witness=null_ref)
     # cond_strictly_pd
     if positive:
         return _cert(k, prop, HOLDS, "spd_implies_cspd")
-    return _cert(k, prop, FAILS, "a2_finite_spectrum_rank",
-                 witness=_null_witness_ref(k))
+    return _cert(k, prop, FAILS, "a2_finite_spectrum_rank", witness=null_ref)
 
 
 def _certify_a3(k, prop):
     spec = K.spectral(k)
     degenerate = bool(spec.supp_is_only_zero)
+    null_ref = {"kind": "gram_null", "points": [[0.0] * k.space.dim, [1.0] * k.space.dim]}
     if prop == "c_universal":
         # reachable only for the constant kernel placed on a torus
         if degenerate:
-            return _cert(k, prop, FAILS, "a3_only_zero_mass",
-                         witness=_null_witness_ref(k))
+            return _cert(k, prop, FAILS, "a3_only_zero_mass", witness=null_ref)
         return _cert(k, prop, HOLDS, "a3_mixing_support")
     if prop in ("c0_universal", "cc_universal", "strictly_pd", "characteristic"):
         if not degenerate:
             rule = "a3_mixing_support" if prop == "c0_universal" else "a3_equivalence"
             return _cert(k, prop, HOLDS, rule)
-        witness = _pair_witness_ref(k) if prop == "characteristic" else _null_witness_ref(k)
+        witness = _pair_ref(null_ref) if prop == "characteristic" else null_ref
         return _cert(k, prop, FAILS, "a3_only_zero_mass", witness=witness)
     # cond_strictly_pd
     if not degenerate:
         return _cert(k, prop, HOLDS, "spd_implies_cspd")
-    return _cert(k, prop, FAILS, "a3_only_zero_mass", witness=_null_witness_ref(k))
+    return _cert(k, prop, FAILS, "a3_only_zero_mass", witness=null_ref)
 
 
 def _certify_a4(k, prop):
@@ -250,6 +220,10 @@ def _certify_a4(k, prop):
     # c0-universality and the characteristic property on the open domain
     # ball are not settled by the series criterion
     return _cert(k, prop, UNKNOWN, "a4_open")
+
+
+_RULES = {"a1": _certify_a1, "a2": _certify_a2, "a3": _certify_a3,
+          "constant": _certify_a3, "a4": _certify_a4}
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +297,11 @@ class ImplicationGraph:
     edges: tuple
 
     def applicable(self, k):
-        out = []
-        for src, dst, scope in self.edges:
-            if scope == "all":
-                out.append((src, dst))
-            elif scope == "compact" and k.space.is_torus:
-                out.append((src, dst))
-            elif scope == "a1_c0" and kernel_class(k) == "a1" and _a1_flags(k)[0]:
-                out.append((src, dst))
-            elif scope == "a2" and kernel_class(k) == "a2":
-                out.append((src, dst))
-            elif scope == "a3" and kernel_class(k) in ("a3", "constant"):
-                out.append((src, dst))
-        return out
+        klass = kernel_class(k)
+        in_scope = {"all": True, "compact": k.space.is_torus,
+                    "a1_c0": K.family_spec(k).vanishes, "a2": klass == "a2",
+                    "a3": klass in ("a3", "constant")}
+        return [(src, dst) for src, dst, scope in self.edges if in_scope.get(scope)]
 
 
 def default_implication_graph() -> ImplicationGraph:

@@ -25,6 +25,7 @@ from .certify import (
     certify as certify_kernel,
     certify_all,
 )
+from .numerics import InternalConsistencyError, LPError
 
 PROPERTY_ALIASES = {p.replace("_", "-"): p for p in PROPERTIES}
 
@@ -78,7 +79,7 @@ def _parse_points(text, dim):
 
 
 def _emit(doc, out_path=None):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         Path(out_path).write_text(text + "\n")
     else:
@@ -153,13 +154,10 @@ def cmd_energy(args):
     k = _load_kernel(args.kernel)
     mu = _load_measure(args.measure)
     doc = {}
-    try:
-        if args.method in ("spatial", "both"):
-            doc["spatial"] = _energy_doc(embedding.energy_spatial(k, mu))
-        if args.method in ("spectral", "both"):
-            doc["spectral"] = _energy_doc(embedding.energy_spectral(k, mu))
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    if args.method in ("spatial", "both"):
+        doc["spatial"] = _energy_doc(embedding.energy_spatial(k, mu))
+    if args.method in ("spectral", "both"):
+        doc["spectral"] = _energy_doc(embedding.energy_spectral(k, mu))
     if "spatial" in doc and "spectral" in doc:
         doc["bounds"] = doc["spatial"]["error_bound"] + doc["spectral"]["error_bound"]
         doc["difference"] = abs(doc["spatial"]["value"] - doc["spectral"]["value"])
@@ -171,21 +169,14 @@ def cmd_mmd(args):
     k = _load_kernel(args.kernel)
     P = _load_measure(args.p)
     Q = _load_measure(args.q)
-    try:
-        value = embedding.mmd(k, P, Q)
-    except ValueError as exc:
-        raise DomainError(str(exc))
-    _emit({"mmd": value}, args.out)
+    _emit({"mmd": embedding.mmd(k, P, Q)}, args.out)
     return 0
 
 
 def cmd_certify(args):
     k = _load_kernel(args.kernel)
     prop = PROPERTY_ALIASES.get(args.property, args.property)
-    try:
-        cert = certify_kernel(k, prop)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    cert = certify_kernel(k, prop)
     doc = certificate_to_json(cert)
     if cert.verdict == FAILS and cert.witness_ref:
         # failing verdicts always materialize their refutation
@@ -193,40 +184,24 @@ def cmd_certify(args):
             Path.cwd() / f"{Path(args.kernel).stem}.witness.json"
         try:
             built = witness_mod.construct_witness(k, cert.witness_ref, grid_size=args.grid)
-            witness_path.write_text(
-                json.dumps(witness_mod.witness_to_json(built), indent=2) + "\n")
+            witness_path.write_text(json.dumps(
+                witness_mod.witness_to_json(built), indent=2, allow_nan=False) + "\n")
             doc["witness"] = {"path": str(witness_path), **cert.witness_ref}
         except ValueError as exc:
             raise DomainError(f"witness construction failed: {exc}")
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc)
     else:
         _emit(doc, args.out)
     return 0
 
 
 def cmd_witness(args):
+    """The witness of the kernel's first failing certificate."""
     k = _load_kernel(args.kernel)
-    try:
-        klass = kernels.kernel_class(k)
-        if klass == "a2":
-            spec = kernels.spectral(k)
-            if spec.support.kind != "finite_set":
-                raise DomainError(f"{k.family} admits no zero-energy witness")
-            l = max(spec.support.frequencies)
-            m = args.grid or (2 * l + 2)
-            built = witness_mod.torus_zero_energy_witness(k, m)
-        elif klass == "a1":
-            built = witness_mod.bandlimited_zero_energy_witness(k)
-        elif klass in ("a3", "constant"):
-            spec = kernels.spectral(k)
-            if not spec.supp_is_only_zero:
-                raise DomainError(f"{k.family} admits no zero-energy witness")
-            pts = np.array([[0.0] * k.space.dim, [1.0] * k.space.dim])
-            built = witness_mod.gram_null_witness(k, pts)
-        else:
-            raise DomainError(f"no witness construction for {k.family}")
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    cert = next((c for c in certify_all(k) if c.verdict == FAILS), None)
+    if cert is None:
+        raise DomainError(f"{k.family} admits no zero-energy witness")
+    built = witness_mod.construct_witness(k, cert.witness_ref, grid_size=args.grid)
     _emit(witness_mod.witness_to_json(built), args.out)
     return 0
 
@@ -234,21 +209,17 @@ def cmd_witness(args):
 def cmd_experiment_converge(args):
     k = _load_kernel(args.kernel)
     params = [float(v) for v in args.samples.split(",") if v.strip()]
-    try:
-        if args.kind == "empirical":
-            if not args.measure:
-                raise DomainError("empirical experiments need --measure for the target")
-            target = _load_measure(args.measure)
-            spec = weaktopo.empirical_from_target(target, [int(v) for v in params],
-                                                  seed=args.seed)
-        elif args.kind == "shrink":
-            spec = weaktopo.shrink_to_dirac(np.zeros(k.space.dim), params, dim=k.space.dim)
-        else:
-            spec = weaktopo.moving_atom(np.zeros(k.space.dim), params, dim=k.space.dim)
-        report = weaktopo.run_convergence(k, spec,
-                                          negative_control=args.negative_control)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    if args.kind == "empirical":
+        if not args.measure:
+            raise DomainError("empirical experiments need --measure for the target")
+        target = _load_measure(args.measure)
+        spec = weaktopo.empirical_from_target(target, [int(v) for v in params],
+                                              seed=args.seed)
+    elif args.kind == "shrink":
+        spec = weaktopo.shrink_to_dirac(np.zeros(k.space.dim), params, dim=k.space.dim)
+    else:
+        spec = weaktopo.moving_atom(np.zeros(k.space.dim), params, dim=k.space.dim)
+    report = weaktopo.run_convergence(k, spec, negative_control=args.negative_control)
     csv = report.to_csv()
     if args.out:
         Path(args.out).write_text(csv)
@@ -332,7 +303,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
+    except (DomainError, ValueError, InternalConsistencyError, LPError) as exc:
+        # ValueError covers every domain error the library raises
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

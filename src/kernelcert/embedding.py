@@ -159,6 +159,88 @@ def _band_density_energy(k, mu: ModulatedSincSq):
     return 2.0 * val, 2.0 * err + 1e-14
 
 
+def _constant_energy(k, mu):
+    if isinstance(mu, DiscreteSignedMeasure):
+        _require_same_space(k, mu)
+        mass = mu.total_mass
+        scale = mu.total_variation
+    elif isinstance(mu, TorusCosine):
+        mass, scale = 0.0, abs(mu.alpha)
+    elif isinstance(mu, ModulatedSincSq):
+        mass = density_ft(mu, 0.0)
+        scale = abs(mu.alpha) * math.pi
+    else:
+        raise UnsupportedCombinationError(type(mu).__name__)
+    c = k.param("c")
+    return EnergyResult(c * mass * mass, "spectral_quadrature",
+                        64 * _EPS * c * scale * scale + 1e-300)
+
+
+def _require_quadrature_input(k, mu):
+    _require_discrete(mu)
+    _require_same_space(k, mu)
+    if k.space.dim > SPECTRAL_DIM_LIMIT:
+        raise UnsupportedCombinationError(
+            f"spectral quadrature supports d <= {SPECTRAL_DIM_LIMIT}"
+        )
+
+
+def _density_energy(k, mu):
+    if isinstance(mu, ModulatedSincSq):
+        if k.space.dim != 1:
+            raise UnsupportedCombinationError("band-limited densities live on the line")
+        value, bound = _band_density_energy(k, mu)
+        return EnergyResult(value, "spectral_quadrature", bound)
+    _require_quadrature_input(k, mu)
+    if mu.is_zero:
+        return EnergyResult(0.0, "spectral_quadrature", 0.0)
+    value, bound = _pairwise_energy(mu, lambda d: K.axis_spectral_transform(k, d))
+    return EnergyResult(value, "spectral_quadrature", bound)
+
+
+def _series_energy(k, mu):
+    if isinstance(mu, TorusCosine):
+        if k.space.dim != 1:
+            raise UnsupportedCombinationError("TorusCosine lives on the circle")
+        coeff = K.spectral(k).coeff_axis
+        value = 2.0 * (2.0 * math.pi) ** 2 * mu.alpha ** 2 * coeff(mu.n0)
+        return EnergyResult(value, "spectral_series",
+                            64 * _EPS * max(value, mu.alpha ** 2) + 1e-300)
+    _require_discrete(mu)
+    _require_same_space(k, mu)
+    if mu.is_zero:
+        return EnergyResult(0.0, "spectral_series", 0.0)
+    value, bound = _pairwise_energy(mu, lambda d: K.axis_spectral_transform(k, d))
+    return EnergyResult(value, "spectral_series", bound)
+
+
+def _mixture_energy(k, mu):
+    _require_quadrature_input(k, mu)
+    if mu.is_zero:
+        return EnergyResult(0.0, "spectral_quadrature", 0.0)
+
+    def mixture_energy(n_nodes):
+        comps, exact = K.mixing_components(k, n_nodes=n_nodes)
+        total, bound = 0.0, 0.0
+        for t, m in comps:
+            v, b = _pairwise_energy(
+                mu, lambda d, t=t: K.gaussian_rate_axis_transform(t, d))
+            total += m * v
+            bound += m * b
+        return total, bound, exact
+
+    value, bound, exact = mixture_energy(48)
+    if not exact:
+        v_half, _, _ = mixture_energy(24)
+        bound += 2.0 * abs(value - v_half) + 1e-13 * mu.total_variation ** 2
+    return EnergyResult(value, "spectral_quadrature", bound)
+
+
+# the spectral route of each kernel class
+_SPECTRAL_ROUTES = {"constant": _constant_energy, "a1": _density_energy,
+                    "a2": _series_energy, "a3": _mixture_energy}
+
+
 def energy_spectral(k, mu) -> EnergyResult:
     """Energy through the kernel's spectral representation.
 
@@ -168,84 +250,10 @@ def energy_spectral(k, mu) -> EnergyResult:
     spectral energies.  Agrees with :func:`energy_spatial` within the
     combined error bounds whenever both apply.
     """
-    klass = K.kernel_class(k)
-    if klass == "constant":
-        if isinstance(mu, DiscreteSignedMeasure):
-            _require_same_space(k, mu)
-            mass = mu.total_mass
-            scale = mu.total_variation
-        elif isinstance(mu, TorusCosine):
-            mass, scale = 0.0, abs(mu.alpha)
-        elif isinstance(mu, ModulatedSincSq):
-            mass = density_ft(mu, 0.0)
-            scale = abs(mu.alpha) * math.pi
-        else:
-            raise UnsupportedCombinationError(type(mu).__name__)
-        c = k.param("c")
-        return EnergyResult(c * mass * mass, "spectral_quadrature",
-                            64 * _EPS * c * scale * scale + 1e-300)
-
-    if klass == "a1":
-        if isinstance(mu, ModulatedSincSq):
-            if k.space.dim != 1:
-                raise UnsupportedCombinationError("band-limited densities live on the line")
-            value, bound = _band_density_energy(k, mu)
-            return EnergyResult(value, "spectral_quadrature", bound)
-        _require_discrete(mu)
-        _require_same_space(k, mu)
-        if k.space.dim > SPECTRAL_DIM_LIMIT:
-            raise UnsupportedCombinationError(
-                f"spectral quadrature supports d <= {SPECTRAL_DIM_LIMIT}"
-            )
-        if mu.is_zero:
-            return EnergyResult(0.0, "spectral_quadrature", 0.0)
-        value, bound = _pairwise_energy(mu, lambda d: K.axis_spectral_transform(k, d))
-        return EnergyResult(value, "spectral_quadrature", bound)
-
-    if klass == "a2":
-        if isinstance(mu, TorusCosine):
-            if k.space.dim != 1:
-                raise UnsupportedCombinationError("TorusCosine lives on the circle")
-            coeff = K.spectral(k).coeff_axis
-            value = 2.0 * (2.0 * math.pi) ** 2 * mu.alpha ** 2 * coeff(mu.n0)
-            return EnergyResult(value, "spectral_series",
-                                64 * _EPS * max(value, mu.alpha ** 2) + 1e-300)
-        _require_discrete(mu)
-        _require_same_space(k, mu)
-        if mu.is_zero:
-            return EnergyResult(0.0, "spectral_series", 0.0)
-        value, bound = _pairwise_energy(mu, lambda d: K.axis_spectral_transform(k, d))
-        return EnergyResult(value, "spectral_series", bound)
-
-    if klass == "a3":
-        _require_discrete(mu)
-        _require_same_space(k, mu)
-        if k.space.dim > SPECTRAL_DIM_LIMIT:
-            raise UnsupportedCombinationError(
-                f"spectral quadrature supports d <= {SPECTRAL_DIM_LIMIT}"
-            )
-        if mu.is_zero:
-            return EnergyResult(0.0, "spectral_quadrature", 0.0)
-
-        def mixture_energy(n_nodes):
-            comps, exact = K.mixing_components(k, n_nodes=n_nodes)
-            total, bound = 0.0, 0.0
-            for t, m in comps:
-                v, b = _pairwise_energy(
-                    mu, lambda d, t=t: K.gaussian_rate_axis_transform(t, d))
-                total += m * v
-                bound += m * b
-            return total, bound, exact
-
-        value, bound, exact = mixture_energy(48)
-        if not exact:
-            v_half, _, _ = mixture_energy(24)
-            bound += 2.0 * abs(value - v_half) + 1e-13 * mu.total_variation ** 2
-        return EnergyResult(value, "spectral_quadrature", bound)
-
-    raise UnsupportedCombinationError(
-        f"no spectral energy for family {k.family}"
-    )
+    route = _SPECTRAL_ROUTES.get(K.kernel_class(k))
+    if route is None:
+        raise UnsupportedCombinationError(f"no spectral energy for family {k.family}")
+    return route(k, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -289,26 +297,6 @@ def mmd_witness_gap(k, P, Q, f_measure):
 # feature-space energies for dot-product kernels
 # ---------------------------------------------------------------------------
 
-def _taylor_tail(k, q, degree):
-    """Bound on sum_{n > degree} a_n q^n for 0 <= q inside the radius."""
-    coeffs = K.taylor_coefficients(k)
-    if q == 0.0:
-        return 0.0
-    if k.family == "taylor_exp":
-        head = q ** (degree + 1) / math.factorial(degree + 1)
-        ratio = q / (degree + 2)
-        if ratio >= 1.0:
-            # crude geometric regime: grow the bound until the ratio drops
-            return head * math.exp(q)
-        return head / (1.0 - ratio)
-    a_next = coeffs.a(degree + 1)
-    beta = k.param("beta")
-    ratio = q * max(1.0, (degree + 1 + beta) / (degree + 2))
-    if ratio >= 1.0:
-        raise ValueError("atoms too close to the domain boundary for a tail bound")
-    return a_next * q ** (degree + 1) / (1.0 - ratio)
-
-
 def energy_features(k, mu, degree) -> EnergyResult:
     """Truncated feature-space energy sum_alpha |sum_j w_j phi_alpha(x_j)|^2.
 
@@ -324,20 +312,14 @@ def energy_features(k, mu, degree) -> EnergyResult:
     if np.any(norms >= math.sqrt(coeffs.radius)):
         raise ValueError("atom outside the kernel's domain ball")
     total = 0.0
-    for n in range(degree + 1):
-        a_n = coeffs.a(n)
-        fact_n = math.factorial(n)
-        for alpha in K._multi_indices(n, k.space.dim):
-            c_alpha = fact_n
-            for a_j in alpha:
-                c_alpha //= math.factorial(a_j)
-            mono = np.ones(mu.n_atoms)
-            for axis, a_j in enumerate(alpha):
-                if a_j:
-                    mono *= mu.points[:, axis] ** a_j
-            s = float(mu.weights @ mono)
-            total += a_n * c_alpha * s * s
+    for alpha, weight in K.taylor_terms(k, degree):
+        mono = np.ones(mu.n_atoms)
+        for axis, a_j in enumerate(alpha):
+            if a_j:
+                mono *= mu.points[:, axis] ** a_j
+        s = float(mu.weights @ mono)
+        total += weight * s * s
     q = float(np.max(norms)) ** 2
-    tail = _taylor_tail(k, q, degree)
+    tail = coeffs.tail(q, degree) if q > 0.0 else 0.0
     bound = mu.total_variation ** 2 * tail + 1e3 * _EPS * max(total, 1.0)
     return EnergyResult(total, "feature_truncation", bound)

@@ -3,17 +3,20 @@ with exact spectral metadata.
 
 Four structural classes plus the constant kernel:
 
-* translation invariant on R^d (``gaussian_ti``, ``laplacian_ti``,
-  ``b1_spline``, ``sinc``, ``sinc_sq``), described by a spectral density;
-* translation invariant on the torus (``poisson_torus``, ``expcos_torus``,
-  ``quadpoly_torus``, ``dirichlet``, ``fejer``), described by Fourier
+* ``a1``: translation invariant on R^d, described by a spectral density;
+* ``a2``: translation invariant on the torus, described by Fourier
   coefficients;
-* radial mixtures of Gaussians (``radial_gaussian``,
-  ``inverse_multiquadric``, ``radial_atoms``), described by a mixing
-  measure on rates;
-* dot-product kernels with positive power series (``taylor_exp``,
-  ``taylor_binomial``), described by their coefficients;
+* ``a3``: radial mixtures of Gaussians, described by a mixing measure on
+  rates;
+* ``a4``: dot-product kernels with positive power series, described by
+  their coefficients;
 * ``constant``.
+
+Each family is one :class:`FamilySpec` record in ``_FAMILIES``: its class,
+space, parameter validators, closed-form profile and spectral object.  Every
+other module reads the record (through :func:`family_spec`) or its class and
+never tests a family name.  Adding a family means adding one record, one
+convenience constructor below the table and one document in ``zoo/``.
 
 Keeping the enumeration closed is deliberate: certification rules consult
 authoritative support descriptors, which arbitrary callables cannot supply.
@@ -62,10 +65,6 @@ class KernelDescriptor:
             if key == name:
                 return value
         raise KeyError(name)
-
-    @property
-    def params_dict(self):
-        return dict(self.params)
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params)
@@ -116,128 +115,366 @@ class SpectralMeasure:
 
 @dataclass(frozen=True)
 class TaylorCoefficients:
-    """Power-series data of a dot-product kernel: coefficient function and
-    convergence radius of the underlying scalar series."""
+    """Power-series data of a dot-product kernel: coefficient function,
+    convergence radius of the underlying scalar series, and ``tail(q, N)``
+    bounding sum_{n > N} a_n q^n for 0 < q inside the radius."""
 
     a: object
     radius: float
+    tail: object
 
-    def up_to(self, degree):
-        return np.array([self.a(n) for n in range(degree + 1)])
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything the library knows about one kernel family.
+
+    ``params`` maps each parameter name to its validator ``check(name,
+    value)``.  Evaluators take their argument first and the kernel
+    parameters as keywords: ``profile`` (per-axis profile of a lag, classes
+    a1/a2), ``radial`` (profile of the squared distance, a3/constant),
+    ``dot`` (profile of the inner product, a4) and ``series`` (a2: certified
+    per-axis cosine series at lags in [0, 2 pi) to a target, returning
+    ``(values, bounds)``).  The remaining functions build from the
+    parameters alone: ``lam`` the per-axis spectral density (a1), ``tail``
+    its ``numerics.AxisTailRule``, ``coeff`` the per-axis Fourier coefficient
+    function (a2), ``support`` the :class:`SpectralSupport` (a1/a2; ``None``
+    means full support), ``mixing`` the rate-mixing :class:`SpectralMeasure`
+    (a3/constant), ``quadrature(n_nodes)`` the Gaussian components of a
+    mixing density, and ``taylor`` the :class:`TaylorCoefficients` (a4).
+    ``vanishes`` and ``integrable`` describe an a1 profile at infinity.
+
+    The spectral functions never call ``profile``, so the spectral route
+    stays independent of the closed form; the finite cosine sums of the
+    band-limited torus families are the one place where the two coincide.
+    """
+
+    klass: str
+    space_kind: str
+    params: dict
+    profile: object = None
+    radial: object = None
+    dot: object = None
+    lam: object = None
+    tail: object = None
+    coeff: object = None
+    series: object = None
+    support: object = None
+    vanishes: bool = False
+    integrable: bool = False
+    mixing: object = None
+    quadrature: object = None
+    taylor: object = None
 
 
 # ---------------------------------------------------------------------------
-# family registry
+# parameter validators
 # ---------------------------------------------------------------------------
 
-def _positive(name):
-    def check(v):
+def _number(name, v, ok, what):
+    try:
         v = float(v)
-        if not v > 0:
-            raise KernelConfigError(f"{name} must be positive, got {v}")
-        return v
-    return check
+    except (TypeError, ValueError):
+        raise KernelConfigError(f"{name} must be a number, got {v!r}") from None
+    if not (math.isfinite(v) and ok(v)):
+        raise KernelConfigError(f"{name} must {what}, got {v}")
+    return v
 
 
-def _open_unit(name):
-    def check(v):
-        v = float(v)
-        if not 0.0 < v < 1.0:
-            raise KernelConfigError(f"{name} must lie in (0, 1), got {v}")
-        return v
-    return check
+def _positive(name, v):
+    return _number(name, v, lambda x: x > 0, "be positive")
 
 
-def _half_open_unit(name):
-    def check(v):
-        v = float(v)
-        if not 0.0 < v <= 1.0:
-            raise KernelConfigError(f"{name} must lie in (0, 1], got {v}")
-        return v
-    return check
+def _nonnegative(name, v):
+    return _number(name, v, lambda x: x >= 0, "be >= 0")
 
 
-def _natural(name):
-    def check(v):
-        iv = int(v)
-        if iv != v or iv < 1:
-            raise KernelConfigError(f"{name} must be a positive integer, got {v}")
-        return iv
-    return check
+def _open_unit(name, v):
+    return _number(name, v, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
 
 
-def _nonnegative(name):
-    def check(v):
-        v = float(v)
-        if v < 0:
-            raise KernelConfigError(f"{name} must be >= 0, got {v}")
-        return v
-    return check
+def _half_open_unit(name, v):
+    return _number(name, v, lambda x: 0.0 < x <= 1.0, "lie in (0, 1]")
 
 
-def _rate_atoms(name):
-    def check(v):
-        atoms = []
-        for entry in v:
-            t, m = float(entry[0]), float(entry[1])
-            if t < 0:
-                raise KernelConfigError("rates must be >= 0")
-            if m <= 0:
-                raise KernelConfigError("masses must be positive")
-            atoms.append((t, m))
-        if not atoms:
-            raise KernelConfigError(f"{name} needs at least one atom")
-        return tuple(atoms)
-    return check
+def _natural(name, v):
+    return int(_number(name, v, lambda x: x == int(x) and x >= 1, "be a positive integer"))
+
+
+def _rate_atoms(name, v):
+    try:
+        atoms = tuple((_nonnegative("rate", t), _positive("mass", m)) for t, m in v)
+    except (TypeError, ValueError) as exc:
+        raise KernelConfigError(f"{name}: {exc}") from None
+    if not atoms:
+        raise KernelConfigError(f"{name} needs at least one atom")
+    return atoms
+
+
+# ---------------------------------------------------------------------------
+# family records
+# ---------------------------------------------------------------------------
+
+def _box(half_width):
+    return SpectralSupport("box", half_width=half_width)
+
+
+def _finite_band(l):
+    return SpectralSupport("finite_set", frequencies=tuple(range(-l, l + 1)))
+
+
+def _rate_mixing(atoms):
+    return SpectralMeasure(kind="radial_mixing", mixing_atoms=tuple(atoms),
+                           supp_is_only_zero=all(t == 0.0 for t, _ in atoms))
+
+
+def _sinc_sq_lam():
+    hw, peak = sinc_sq_spectrum()
+    return lambda w: (peak / TWO_PI) * np.maximum(0.0, 1.0 - np.abs(w) / hw)
+
+
+def _dirichlet_coeff(l):
+    return lambda n: 1.0 if abs(int(n)) <= l else 0.0
+
+
+def _fejer_coeff(l):
+    return lambda n: max(0.0, 1.0 - abs(int(n)) / (l + 1.0)) if abs(int(n)) <= l else 0.0
+
+
+def _cosine_sum(d, l, coeff):
+    """1 + 2 sum_{n=1..l} c_n cos(n d): profile and exact series at once of
+    a torus family whose coefficients live on {-l, ..., l}."""
+    out = np.ones_like(np.asarray(d, dtype=float))
+    for n in range(1, l + 1):
+        out = out + 2.0 * coeff(n) * np.cos(n * d)
+    return out
+
+
+def _finite_series(coeff_fn):
+    def series(deltas, target, l):
+        vals = _cosine_sum(deltas, l, coeff_fn(l))
+        return vals, np.full_like(vals, 4e-15 * (2 * l + 1))
+    return series
+
+
+def _poisson_series(deltas, target, sigma):
+    s = sigma
+    N = max(8, int(math.ceil(math.log(1e-18) / math.log(s))))
+    n = np.arange(1, N + 1)
+    vals = 1.0 + 2.0 * (np.cos(np.outer(deltas, n)) @ (s ** n))
+    z = s * np.exp(1j * deltas)
+    vals += 2.0 * np.real(z ** (N + 1) / (1.0 - z))
+    errs = np.full_like(vals, 1e-14 * (1.0 + s) / (1.0 - s))
+    return vals, errs
+
+
+def _expcos_series(deltas, target, alpha):
+    a = alpha
+    N = 40
+    n = np.arange(1, N + 1)
+    coeffs = np.exp(n * math.log(a) - gammaln(n + 1.0))
+    vals = 1.0 + np.cos(np.outer(deltas, n)) @ coeffs
+    tail = a ** (N + 1) / math.factorial(N + 1) / (1.0 - a / (N + 2))
+    errs = np.full_like(vals, tail + 1e-14 * math.e)
+    return vals, errs
+
+
+def _quadpoly_series(deltas, target, n_terms=40000):
+    """Cosine series pi^2/3 + 4 sum cos(n d)/n^2 with a corrected tail.
+
+    Lags fold into [0, pi] (the series is even and periodic), the truncated
+    tail is replaced by its exact midpoint integral through the sine
+    integral, and the remainder carries the smaller of the Euler-Maclaurin
+    bound and an Abel summation bound.  At lag zero the tail is exact
+    through the trigamma function.
+    """
+    from scipy.special import polygamma, sici
+
+    deltas = np.mod(np.asarray(deltas, dtype=float), TWO_PI)
+    deltas = np.minimum(deltas, TWO_PI - deltas)
+    vals = np.full_like(deltas, math.pi ** 2 / 3.0)
+    errs = np.full_like(deltas, 1e-13 * math.pi ** 2)
+    N = int(n_terms)
+    A = N + 0.5
+    n = np.arange(1, N + 1)
+    zero = np.abs(np.sin(deltas / 2.0)) < 1e-14
+    if zero.any():
+        partial_zero = float(np.sum(1.0 / n ** 2))
+        vals[zero] += 4.0 * (partial_zero + float(polygamma(1, N + 1)))
+    if (~zero).any():
+        ds = deltas[~zero]
+        acc = np.zeros_like(ds)
+        inv_n2 = 1.0 / n ** 2
+        for lo in range(0, N, 8192):
+            acc += np.cos(np.outer(ds, n[lo:lo + 8192])) @ inv_n2[lo:lo + 8192]
+        si, _ = sici(A * ds)
+        corr = np.cos(A * ds) / A - ds * (np.pi / 2.0 - si)
+        em_bound = (ds * ds / A + 2.0 * ds / A ** 2 + 2.0 / A ** 3) / 24.0
+        abel_bound = (1.0 / ((N + 1) ** 2 * np.abs(np.sin(ds / 2.0)))
+                      + np.minimum(1.0 / A, 2.0 / (ds * A ** 2)))
+        vals[~zero] += 4.0 * (acc + corr)
+        errs[~zero] += 4.0 * np.minimum(em_bound, abel_bound)
+    return vals, errs
+
+
+def _atoms_radial(r2, atoms):
+    out = np.zeros_like(r2)
+    for t, m in atoms:
+        out += m * np.exp(-t * r2)
+    return out
+
+
+def _imq_mixing(beta, c):
+    def mixing_density(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 0,
+                        np.exp((beta - 1.0) * np.log(np.maximum(t, 1e-300))
+                               - c * c * t - gammaln(beta)),
+                        0.0)
+
+    return SpectralMeasure(kind="radial_mixing", mixing_density=mixing_density,
+                           supp_is_only_zero=False)
+
+
+def _imq_quadrature(n_nodes, beta, c):
+    """Generalized Gauss-Laguerre discretization of the Gamma-type mixing."""
+    u, w = roots_genlaguerre(n_nodes, beta - 1.0)
+    scale = math.exp(-gammaln(beta)) / c ** (2.0 * beta)
+    return tuple((float(ui) / (c * c), float(wi) * scale) for ui, wi in zip(u, w))
+
+
+def _exp_tail(q, degree):
+    head = q ** (degree + 1) / math.factorial(degree + 1)
+    ratio = q / (degree + 2)
+    if ratio >= 1.0:
+        # crude geometric regime: grow the bound until the ratio drops
+        return head * math.exp(q)
+    return head / (1.0 - ratio)
+
+
+def _binomial_taylor(beta):
+    def a(n):
+        return math.exp(gammaln(n + beta) - gammaln(beta) - gammaln(n + 1.0))
+
+    def tail(q, degree):
+        ratio = q * max(1.0, (degree + 1 + beta) / (degree + 2))
+        if ratio >= 1.0:
+            raise ValueError("atoms too close to the domain boundary for a tail bound")
+        return a(degree + 1) * q ** (degree + 1) / (1.0 - ratio)
+
+    return TaylorCoefficients(a=a, radius=1.0, tail=tail)
 
 
 _FAMILIES = {
-    # family: (class, space kind, {param: validator})
-    "gaussian_ti": ("a1", "euclidean", {"sigma": _positive("sigma")}),
-    "laplacian_ti": ("a1", "euclidean", {"sigma": _positive("sigma")}),
-    "b1_spline": ("a1", "euclidean", {}),
-    "sinc": ("a1", "euclidean", {"sigma": _positive("sigma")}),
-    "sinc_sq": ("a1", "euclidean", {}),
-    "poisson_torus": ("a2", "torus", {"sigma": _open_unit("sigma")}),
-    "expcos_torus": ("a2", "torus", {"alpha": _half_open_unit("alpha")}),
-    "quadpoly_torus": ("a2", "torus", {}),
-    "dirichlet": ("a2", "torus", {"l": _natural("l")}),
-    "fejer": ("a2", "torus", {"l": _natural("l")}),
-    "radial_gaussian": ("a3", "euclidean", {"sigma": _positive("sigma")}),
-    "inverse_multiquadric": ("a3", "euclidean", {"beta": _positive("beta"), "c": _positive("c")}),
-    "radial_atoms": ("a3", "euclidean", {"atoms": _rate_atoms("atoms")}),
-    "taylor_exp": ("a4", "euclidean", {}),
-    "taylor_binomial": ("a4", "euclidean", {"beta": _positive("beta")}),
-    "constant": ("constant", "any", {"c": _nonnegative("c")}),
-}
-
-# Profile decay/integrability flags used by the certification rules.
-_A1_FLAGS = {
-    # family: (profile vanishes at infinity, profile is integrable)
-    "gaussian_ti": (True, True),
-    "laplacian_ti": (True, True),
-    "b1_spline": (True, True),
-    "sinc": (True, False),
-    "sinc_sq": (True, True),
+    "gaussian_ti": FamilySpec(
+        "a1", "euclidean", {"sigma": _positive},
+        profile=lambda d, sigma: np.exp(-d * d / (2.0 * sigma * sigma)),
+        lam=lambda sigma: lambda w: (sigma / SQRT_2PI) * np.exp(-sigma * sigma * w * w / 2.0),
+        tail=lambda sigma: numerics.GaussianTail(1.0 / sigma),
+        vanishes=True, integrable=True),
+    "laplacian_ti": FamilySpec(
+        "a1", "euclidean", {"sigma": _positive},
+        profile=lambda d, sigma: np.exp(-sigma * np.abs(d)),
+        lam=lambda sigma: lambda w: (sigma / np.pi) / (sigma * sigma + w * w),
+        tail=lambda sigma: numerics.CauchyTail(sigma),
+        vanishes=True, integrable=True),
+    "b1_spline": FamilySpec(
+        "a1", "euclidean", {},
+        profile=lambda d: np.maximum(0.0, 1.0 - np.abs(d)),
+        lam=lambda: lambda w: (0.5 / np.pi) * np.sinc(w / TWO_PI) ** 2,
+        tail=lambda: numerics.TriangleWaveTail(),
+        vanishes=True, integrable=True),
+    "sinc": FamilySpec(
+        "a1", "euclidean", {"sigma": _positive},
+        profile=lambda d, sigma: sigma * np.sinc(sigma * d / np.pi),
+        lam=lambda sigma: lambda w: np.where(np.abs(w) <= sigma, 0.5, 0.0),
+        tail=lambda sigma: numerics.BoxTail(sigma),
+        support=lambda sigma: _box(sigma),
+        vanishes=True, integrable=False),
+    "sinc_sq": FamilySpec(
+        "a1", "euclidean", {},
+        profile=lambda d: np.sinc(d / np.pi) ** 2,
+        lam=_sinc_sq_lam,
+        tail=lambda: numerics.BoxTail(sinc_sq_spectrum()[0]),
+        support=lambda: _box(sinc_sq_spectrum()[0]),
+        vanishes=True, integrable=True),
+    "poisson_torus": FamilySpec(
+        "a2", "torus", {"sigma": _open_unit},
+        profile=lambda d, sigma: (1.0 - sigma * sigma) / (sigma * sigma - 2.0 * sigma * np.cos(d) + 1.0),
+        coeff=lambda sigma: lambda n: sigma ** abs(int(n)),
+        series=_poisson_series),
+    "expcos_torus": FamilySpec(
+        "a2", "torus", {"alpha": _half_open_unit},
+        profile=lambda d, alpha: np.exp(alpha * np.cos(d)) * np.cos(alpha * np.sin(d)),
+        coeff=lambda alpha: lambda n: (
+            1.0 if n == 0 else alpha ** abs(int(n)) / (2.0 * math.factorial(abs(int(n))))),
+        series=_expcos_series),
+    "quadpoly_torus": FamilySpec(
+        "a2", "torus", {},
+        profile=lambda d: (np.pi - np.mod(d, TWO_PI)) ** 2,
+        coeff=lambda: lambda n: math.pi ** 2 / 3.0 if n == 0 else 2.0 / int(n) ** 2,
+        series=_quadpoly_series),
+    "dirichlet": FamilySpec(
+        "a2", "torus", {"l": _natural},
+        profile=lambda d, l: _cosine_sum(d, l, _dirichlet_coeff(l)),
+        coeff=_dirichlet_coeff,
+        series=_finite_series(_dirichlet_coeff),
+        support=_finite_band),
+    "fejer": FamilySpec(
+        "a2", "torus", {"l": _natural},
+        profile=lambda d, l: _cosine_sum(d, l, _fejer_coeff(l)),
+        coeff=_fejer_coeff,
+        series=_finite_series(_fejer_coeff),
+        support=_finite_band),
+    "radial_gaussian": FamilySpec(
+        "a3", "euclidean", {"sigma": _positive},
+        radial=lambda r2, sigma: np.exp(-sigma * r2),
+        mixing=lambda sigma: _rate_mixing(((sigma, 1.0),))),
+    "inverse_multiquadric": FamilySpec(
+        "a3", "euclidean", {"beta": _positive, "c": _positive},
+        radial=lambda r2, beta, c: (c * c + r2) ** (-beta),
+        mixing=_imq_mixing,
+        quadrature=_imq_quadrature),
+    "radial_atoms": FamilySpec(
+        "a3", "euclidean", {"atoms": _rate_atoms},
+        radial=_atoms_radial,
+        mixing=_rate_mixing),
+    "taylor_exp": FamilySpec(
+        "a4", "euclidean", {},
+        dot=lambda t: np.exp(t),
+        taylor=lambda: TaylorCoefficients(a=lambda n: 1.0 / math.factorial(n),
+                                          radius=math.inf, tail=_exp_tail)),
+    "taylor_binomial": FamilySpec(
+        "a4", "euclidean", {"beta": _positive},
+        dot=lambda t, beta: (1.0 - t) ** (-beta),
+        taylor=_binomial_taylor),
+    "constant": FamilySpec(
+        "constant", "any", {"c": _nonnegative},
+        radial=lambda r2, c: np.full_like(r2, c),
+        mixing=lambda c: _rate_mixing(((0.0, c),))),
 }
 
 
 def make_kernel(family, space, **params):
-    if family not in _FAMILIES:
+    spec = _FAMILIES.get(family) if isinstance(family, str) else None
+    if spec is None:
         raise KernelConfigError(f"unknown kernel family {family!r}")
-    klass, space_kind, spec = _FAMILIES[family]
-    if space_kind != "any" and space.kind != space_kind:
-        raise KernelConfigError(f"{family} requires a {space_kind} space, got {space.kind}")
-    if set(params) != set(spec):
+    if spec.space_kind != "any" and space.kind != spec.space_kind:
+        raise KernelConfigError(f"{family} requires a {spec.space_kind} space, got {space.kind}")
+    if set(params) != set(spec.params):
         raise KernelConfigError(
-            f"{family} takes parameters {sorted(spec)}, got {sorted(params)}"
+            f"{family} takes parameters {sorted(spec.params)}, got {sorted(params)}"
         )
-    checked = tuple(sorted((name, spec[name](value)) for name, value in params.items()))
+    checked = tuple(sorted((name, spec.params[name](name, value))
+                           for name, value in params.items()))
     return KernelDescriptor(family, space, checked)
 
 
+def family_spec(k: KernelDescriptor) -> FamilySpec:
+    return _FAMILIES[k.family]
+
+
 def kernel_class(k: KernelDescriptor):
-    return _FAMILIES[k.family][0]
+    return family_spec(k).klass
 
 
 # convenience constructors
@@ -312,40 +549,10 @@ def constant(c=1.0, space=None):
 
 def _axis_profile(k, d):
     """Per-axis profile psi_1 evaluated on an array of lags."""
-    f = k.family
-    if f == "gaussian_ti":
-        s = k.param("sigma")
-        return np.exp(-d * d / (2.0 * s * s))
-    if f == "laplacian_ti":
-        return np.exp(-k.param("sigma") * np.abs(d))
-    if f == "b1_spline":
-        return np.maximum(0.0, 1.0 - np.abs(d))
-    if f == "sinc":
-        s = k.param("sigma")
-        return s * np.sinc(s * d / np.pi)
-    if f == "sinc_sq":
-        return np.sinc(d / np.pi) ** 2
-    if f == "poisson_torus":
-        s = k.param("sigma")
-        return (1.0 - s * s) / (s * s - 2.0 * s * np.cos(d) + 1.0)
-    if f == "expcos_torus":
-        a = k.param("alpha")
-        return np.exp(a * np.cos(d)) * np.cos(a * np.sin(d))
-    if f == "quadpoly_torus":
-        return (np.pi - np.mod(d, TWO_PI)) ** 2
-    if f == "dirichlet":
-        l = k.param("l")
-        out = np.ones_like(np.asarray(d, dtype=float))
-        for n in range(1, l + 1):
-            out = out + 2.0 * np.cos(n * d)
-        return out
-    if f == "fejer":
-        l = k.param("l")
-        out = np.ones_like(np.asarray(d, dtype=float))
-        for n in range(1, l + 1):
-            out = out + 2.0 * (1.0 - n / (l + 1.0)) * np.cos(n * d)
-        return out
-    raise UnsupportedKernelOperation(f"{f} has no per-axis profile")
+    profile = family_spec(k).profile
+    if profile is None:
+        raise UnsupportedKernelOperation(f"{k.family} has no per-axis profile")
+    return profile(d, **dict(k.params))
 
 
 def _check_points(k, X):
@@ -354,7 +561,7 @@ def _check_points(k, X):
         raise SpaceMismatchError(
             f"points of dimension {X.shape[1]} for kernel on dimension {k.space.dim}"
         )
-    if kernel_class(k) == "a4":
+    if family_spec(k).taylor is not None:
         r = taylor_coefficients(k).radius
         norms = np.linalg.norm(X, axis=1)
         if np.any(norms >= math.sqrt(r)):
@@ -366,38 +573,21 @@ def cross_gram(k: KernelDescriptor, X, Y):
     """Matrix of kernel values between two point lists."""
     X = _check_points(k, X)
     Y = _check_points(k, Y)
-    klass = kernel_class(k)
-    if klass == "constant":
-        return np.full((X.shape[0], Y.shape[0]), k.param("c"))
-    if klass == "a4":
-        t = X @ Y.T
-        if k.family == "taylor_exp":
-            return np.exp(t)
-        return (1.0 - t) ** (-k.param("beta"))
+    spec = family_spec(k)
+    if spec.dot is not None:
+        return spec.dot(X @ Y.T, **dict(k.params))
     # profiles are even, so lags enter through |x - y|; taking the absolute
     # value first makes evaluation exactly symmetric in (x, y)
     D = np.abs(X[:, None, :] - Y[None, :, :])
     if k.space.is_torus:
         D = np.mod(D, TWO_PI)
         D = np.minimum(D, TWO_PI - D)
-    if klass in ("a1", "a2"):
+    if spec.profile is not None:
         out = np.ones(D.shape[:2])
         for axis in range(k.space.dim):
             out *= _axis_profile(k, D[:, :, axis])
         return out
-    # radial families
-    r2 = np.sum(D * D, axis=2)
-    if k.family == "radial_gaussian":
-        return np.exp(-k.param("sigma") * r2)
-    if k.family == "inverse_multiquadric":
-        c = k.param("c")
-        return (c * c + r2) ** (-k.param("beta"))
-    if k.family == "radial_atoms":
-        out = np.zeros_like(r2)
-        for t, m in k.param("atoms"):
-            out += m * np.exp(-t * r2)
-        return out
-    raise UnsupportedKernelOperation(k.family)
+    return spec.radial(np.sum(D * D, axis=2), **dict(k.params))
 
 
 def eval_kernel(k: KernelDescriptor, x, y):
@@ -412,19 +602,14 @@ def gram(k: KernelDescriptor, points):
 
 
 def sup_kxx(k: KernelDescriptor):
-    """sup_x k(x, x), or None for dot-product families (unbounded on their
-    open domain ball; bound them on the actual point set instead)."""
-    klass = kernel_class(k)
-    if klass in ("a1", "a2"):
+    """sup_x k(x, x), the profile at zero lag, or None for dot-product
+    families (unbounded on their open domain ball; bound them on the actual
+    point set instead)."""
+    spec = family_spec(k)
+    if spec.profile is not None:
         return float(_axis_profile(k, np.zeros(1))[0]) ** k.space.dim
-    if k.family == "radial_gaussian":
-        return 1.0
-    if k.family == "inverse_multiquadric":
-        return k.param("c") ** (-2.0 * k.param("beta"))
-    if k.family == "radial_atoms":
-        return float(sum(m for _, m in k.param("atoms")))
-    if k.family == "constant":
-        return k.param("c")
+    if spec.radial is not None:
+        return float(spec.radial(np.zeros(1), **dict(k.params))[0])
     return None
 
 
@@ -432,123 +617,36 @@ def sup_kxx(k: KernelDescriptor):
 # spectral descriptors
 # ---------------------------------------------------------------------------
 
-def _axis_coeff_fn(k):
-    f = k.family
-    if f == "poisson_torus":
-        s = k.param("sigma")
-        return lambda n: s ** abs(int(n))
-    if f == "expcos_torus":
-        a = k.param("alpha")
-        return lambda n: 1.0 if n == 0 else a ** abs(int(n)) / (2.0 * math.factorial(abs(int(n))))
-    if f == "quadpoly_torus":
-        return lambda n: math.pi ** 2 / 3.0 if n == 0 else 2.0 / int(n) ** 2
-    if f == "dirichlet":
-        l = k.param("l")
-        return lambda n: 1.0 if abs(int(n)) <= l else 0.0
-    if f == "fejer":
-        l = k.param("l")
-        return lambda n: max(0.0, 1.0 - abs(int(n)) / (l + 1.0)) if abs(int(n)) <= l else 0.0
-    raise UnsupportedKernelOperation(f)
-
-
-def _axis_lambda_density(k):
-    """Per-axis density of the spectral measure (integrates to psi_1(0))."""
-    f = k.family
-    if f == "gaussian_ti":
-        s = k.param("sigma")
-        return lambda w: (s / SQRT_2PI) * np.exp(-s * s * w * w / 2.0)
-    if f == "laplacian_ti":
-        s = k.param("sigma")
-        return lambda w: (s / np.pi) / (s * s + w * w)
-    if f == "b1_spline":
-        return lambda w: (0.5 / np.pi) * np.sinc(w / TWO_PI) ** 2
-    if f == "sinc":
-        s = k.param("sigma")
-        return lambda w: np.where(np.abs(w) <= s, 0.5, 0.0)
-    if f == "sinc_sq":
-        hw, peak = sinc_sq_spectrum()
-        return lambda w: (peak / TWO_PI) * np.maximum(0.0, 1.0 - np.abs(w) / hw)
-    raise UnsupportedKernelOperation(f)
-
-
-def _axis_tail_rule(k):
-    f = k.family
-    if f == "gaussian_ti":
-        return numerics.GaussianTail(1.0 / k.param("sigma"))
-    if f == "laplacian_ti":
-        return numerics.CauchyTail(k.param("sigma"))
-    if f == "b1_spline":
-        return numerics.TriangleWaveTail()
-    if f == "sinc":
-        return numerics.BoxTail(k.param("sigma"))
-    if f == "sinc_sq":
-        hw, _ = sinc_sq_spectrum()
-        return numerics.BoxTail(hw)
-    raise UnsupportedKernelOperation(f)
-
-
 def spectral(k: KernelDescriptor) -> SpectralMeasure:
     """Closed-form spectral object of an A1/A2/A3 (or constant) kernel.
 
     Raises for dot-product families, which carry no translation-invariant
     spectrum.
     """
-    klass = kernel_class(k)
-    if klass == "a1":
-        lam = _axis_lambda_density(k)
+    spec = family_spec(k)
+    p = dict(k.params)
+    if spec.lam is not None:
+        lam = spec.lam(**p)
 
         def density(omega):
             omega = np.atleast_1d(np.asarray(omega, dtype=float))
             return float(np.prod(SQRT_2PI * lam(omega)))
 
-        if k.family == "sinc":
-            support = SpectralSupport("box", half_width=k.param("sigma"))
-        elif k.family == "sinc_sq":
-            hw, _ = sinc_sq_spectrum()
-            support = SpectralSupport("box", half_width=hw)
-        else:
-            support = SpectralSupport("full_space")
+        support = spec.support(**p) if spec.support else SpectralSupport("full_space")
         return SpectralMeasure(kind="euclidean_density", support=support,
                                density=density, lambda_axis=lam)
-    if klass == "a2":
-        axis = _axis_coeff_fn(k)
+    if spec.coeff is not None:
+        axis = spec.coeff(**p)
 
         def coeff(n):
             n = np.atleast_1d(np.asarray(n))
             return float(np.prod([axis(int(v)) for v in n]))
 
-        if k.family in ("dirichlet", "fejer"):
-            l = k.param("l")
-            support = SpectralSupport("finite_set", frequencies=tuple(range(-l, l + 1)))
-        else:
-            support = SpectralSupport("all_integers")
+        support = spec.support(**p) if spec.support else SpectralSupport("all_integers")
         return SpectralMeasure(kind="torus_coefficients", support=support,
                                coeff=coeff, coeff_axis=axis)
-    if klass == "a3":
-        if k.family == "radial_gaussian":
-            atoms = ((k.param("sigma"), 1.0),)
-            return SpectralMeasure(kind="radial_mixing", mixing_atoms=atoms,
-                                   supp_is_only_zero=False)
-        if k.family == "radial_atoms":
-            atoms = tuple(k.param("atoms"))
-            only_zero = all(t == 0.0 for t, _ in atoms)
-            return SpectralMeasure(kind="radial_mixing", mixing_atoms=atoms,
-                                   supp_is_only_zero=only_zero)
-        beta, c = k.param("beta"), k.param("c")
-
-        def mixing_density(t):
-            t = np.asarray(t, dtype=float)
-            return np.where(t > 0,
-                            np.exp((beta - 1.0) * np.log(np.maximum(t, 1e-300))
-                                   - c * c * t - gammaln(beta)),
-                            0.0)
-
-        return SpectralMeasure(kind="radial_mixing", mixing_density=mixing_density,
-                               supp_is_only_zero=False)
-    if klass == "constant":
-        return SpectralMeasure(kind="radial_mixing",
-                               mixing_atoms=((0.0, k.param("c")),),
-                               supp_is_only_zero=True)
+    if spec.mixing is not None:
+        return spec.mixing(**p)
     raise UnsupportedKernelOperation(
         f"{k.family} has no translation-invariant spectrum"
     )
@@ -557,18 +655,16 @@ def spectral(k: KernelDescriptor) -> SpectralMeasure:
 def mixing_components(k: KernelDescriptor, n_nodes=24):
     """Gaussian-rate components (t_i, m_i) of a radial kernel.
 
-    Exact for atomic mixings; the inverse multiquadric's Gamma-type mixing
-    density is discretized with a generalized Gauss-Laguerre rule of
-    ``n_nodes`` points (exactness flag returned alongside).
+    Exact for atomic mixings; a mixing density is discretized by the
+    family's quadrature rule of ``n_nodes`` points (exactness flag returned
+    alongside).
     """
-    if k.family in ("radial_gaussian", "radial_atoms", "constant"):
+    spec = family_spec(k)
+    if spec.mixing is None:
+        raise UnsupportedKernelOperation(f"{k.family} is not a radial mixture")
+    if spec.quadrature is None:
         return spectral(k).mixing_atoms, True
-    if k.family == "inverse_multiquadric":
-        beta, c = k.param("beta"), k.param("c")
-        u, w = roots_genlaguerre(n_nodes, beta - 1.0)
-        scale = math.exp(-gammaln(beta)) / c ** (2.0 * beta)
-        return tuple((float(ui) / (c * c), float(wi) * scale) for ui, wi in zip(u, w)), False
-    raise UnsupportedKernelOperation(f"{k.family} is not a radial mixture")
+    return spec.quadrature(n_nodes, **dict(k.params)), False
 
 
 # per-axis transforms with certified error, consumed by the energy code
@@ -581,12 +677,13 @@ def axis_spectral_transform(k, deltas, target=1e-11):
     Returns ``(values, error_bounds)``.
     """
     deltas = np.asarray(deltas, dtype=float)
-    klass = kernel_class(k)
-    if klass == "a1":
+    spec = family_spec(k)
+    p = dict(k.params)
+    if spec.lam is not None:
         return numerics.cosine_transform_even(
-            _axis_lambda_density(k), deltas, _axis_tail_rule(k), target=target)
-    if klass == "a2":
-        return _axis_series_transform(k, deltas, target)
+            spec.lam(**p), deltas, spec.tail(**p), target=target)
+    if spec.series is not None:
+        return spec.series(np.mod(deltas, TWO_PI), target, **p)
     raise UnsupportedKernelOperation(f"no axis transform for {k.family}")
 
 
@@ -605,89 +702,15 @@ def gaussian_rate_axis_transform(t, deltas, target=1e-11):
         density, deltas, numerics.GaussianTail(s), target=target)
 
 
-def _axis_series_transform(k, deltas, target):
-    deltas = np.mod(np.asarray(deltas, dtype=float), TWO_PI)
-    f = k.family
-    if f in ("dirichlet", "fejer"):
-        vals = _axis_profile(k, deltas)
-        errs = np.full_like(vals, 4e-15 * (2 * k.param("l") + 1))
-        return vals, errs
-    if f == "poisson_torus":
-        s = k.param("sigma")
-        N = max(8, int(math.ceil(math.log(1e-18) / math.log(s))))
-        n = np.arange(1, N + 1)
-        vals = 1.0 + 2.0 * (np.cos(np.outer(deltas, n)) @ (s ** n))
-        z = s * np.exp(1j * deltas)
-        vals += 2.0 * np.real(z ** (N + 1) / (1.0 - z))
-        errs = np.full_like(vals, 1e-14 * (1.0 + s) / (1.0 - s))
-        return vals, errs
-    if f == "expcos_torus":
-        a = k.param("alpha")
-        N = 40
-        n = np.arange(1, N + 1)
-        coeffs = np.exp(n * math.log(a) - gammaln(n + 1.0))
-        vals = 1.0 + np.cos(np.outer(deltas, n)) @ coeffs
-        tail = a ** (N + 1) / math.factorial(N + 1) / (1.0 - a / (N + 2))
-        errs = np.full_like(vals, tail + 1e-14 * math.e)
-        return vals, errs
-    if f == "quadpoly_torus":
-        return _quadpoly_series(deltas, target)
-    raise UnsupportedKernelOperation(f)
-
-
-def _quadpoly_series(deltas, target, n_terms=40000):
-    """Cosine series pi^2/3 + 4 sum cos(n d)/n^2 with a corrected tail.
-
-    Lags fold into [0, pi] (the series is even and periodic), the truncated
-    tail is replaced by its exact midpoint integral through the sine
-    integral, and the remainder carries the smaller of the Euler-Maclaurin
-    bound and an Abel summation bound.  At lag zero the tail is exact
-    through the trigamma function.
-    """
-    from scipy.special import polygamma, sici
-
-    deltas = np.mod(np.asarray(deltas, dtype=float), TWO_PI)
-    deltas = np.minimum(deltas, TWO_PI - deltas)
-    vals = np.full_like(deltas, math.pi ** 2 / 3.0)
-    errs = np.full_like(deltas, 1e-13 * math.pi ** 2)
-    N = int(n_terms)
-    A = N + 0.5
-    n = np.arange(1, N + 1)
-    zero = np.abs(np.sin(deltas / 2.0)) < 1e-14
-    if zero.any():
-        partial_zero = float(np.sum(1.0 / n ** 2))
-        vals[zero] += 4.0 * (partial_zero + float(polygamma(1, N + 1)))
-    if (~zero).any():
-        ds = deltas[~zero]
-        acc = np.zeros_like(ds)
-        inv_n2 = 1.0 / n ** 2
-        for lo in range(0, N, 8192):
-            acc += np.cos(np.outer(ds, n[lo:lo + 8192])) @ inv_n2[lo:lo + 8192]
-        si, _ = sici(A * ds)
-        corr = np.cos(A * ds) / A - ds * (np.pi / 2.0 - si)
-        em_bound = (ds * ds / A + 2.0 * ds / A ** 2 + 2.0 / A ** 3) / 24.0
-        abel_bound = (1.0 / ((N + 1) ** 2 * np.abs(np.sin(ds / 2.0)))
-                      + np.minimum(1.0 / A, 2.0 / (ds * A ** 2)))
-        vals[~zero] += 4.0 * (acc + corr)
-        errs[~zero] += 4.0 * np.minimum(em_bound, abel_bound)
-    return vals, errs
-
-
 # ---------------------------------------------------------------------------
 # dot-product (Taylor) kernels
 # ---------------------------------------------------------------------------
 
 def taylor_coefficients(k: KernelDescriptor) -> TaylorCoefficients:
-    if k.family == "taylor_exp":
-        return TaylorCoefficients(a=lambda n: 1.0 / math.factorial(n), radius=math.inf)
-    if k.family == "taylor_binomial":
-        beta = k.param("beta")
-
-        def a(n):
-            return math.exp(gammaln(n + beta) - gammaln(beta) - gammaln(n + 1.0))
-
-        return TaylorCoefficients(a=a, radius=1.0)
-    raise UnsupportedKernelOperation(f"{k.family} is not a dot-product family")
+    taylor = family_spec(k).taylor
+    if taylor is None:
+        raise UnsupportedKernelOperation(f"{k.family} is not a dot-product family")
+    return taylor(**dict(k.params))
 
 
 def _multi_indices(total, dim):
@@ -697,6 +720,21 @@ def _multi_indices(total, dim):
     for head in range(total + 1):
         for rest in _multi_indices(total - head, dim - 1):
             yield (head,) + rest
+
+
+def taylor_terms(k: KernelDescriptor, degree):
+    """Pairs (alpha, a_n * n! / alpha!) over multi-indices alpha of total
+    degree n <= ``degree``: the weights of the monomials x^alpha in the
+    kernel's series truncated at ``degree``."""
+    coeffs = taylor_coefficients(k)
+    for n in range(degree + 1):
+        a_n = coeffs.a(n)
+        fact_n = math.factorial(n)
+        for alpha in _multi_indices(n, k.space.dim):
+            c_alpha = fact_n
+            for a_j in alpha:
+                c_alpha //= math.factorial(a_j)
+            yield alpha, a_n * c_alpha
 
 
 def taylor_features(k: KernelDescriptor, x, degree):
@@ -709,19 +747,12 @@ def taylor_features(k: KernelDescriptor, x, degree):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     x = _check_points(k, [np.atleast_1d(x)])[0]
-    coeffs = taylor_coefficients(k)
     feats = []
-    for n in range(degree + 1):
-        a_n = coeffs.a(n)
-        fact_n = math.factorial(n)
-        for alpha in _multi_indices(n, k.space.dim):
-            c_alpha = fact_n
-            for a_j in alpha:
-                c_alpha //= math.factorial(a_j)
-            mono = 1.0
-            for xj, aj in zip(x, alpha):
-                mono *= xj ** aj
-            feats.append((alpha, math.sqrt(a_n * c_alpha) * mono))
+    for alpha, weight in taylor_terms(k, degree):
+        mono = 1.0
+        for xj, aj in zip(x, alpha):
+            mono *= xj ** aj
+        feats.append((alpha, math.sqrt(weight) * mono))
     return feats
 
 
@@ -730,9 +761,9 @@ def taylor_features(k: KernelDescriptor, x, degree):
 # ---------------------------------------------------------------------------
 
 def kernel_to_json(k: KernelDescriptor):
-    params = {}
-    for name, value in k.params:
-        params[name] = [list(a) for a in value] if name == "atoms" else value
+    # tuple-valued parameters (rate atoms) become nested lists
+    params = {name: [list(a) for a in value] if isinstance(value, tuple) else value
+              for name, value in k.params}
     return {
         "family": k.family,
         "space": {"kind": k.space.kind, "dim": k.space.dim},
@@ -749,9 +780,11 @@ def kernel_from_json(doc):
     for key in ("family", "space"):
         if key not in doc:
             raise KernelConfigError(f"kernel document is missing {key!r}")
-    space_doc = doc["space"]
-    unknown = set(space_doc) - {"kind", "dim"}
-    if unknown:
-        raise KernelConfigError(f"unknown fields in space document: {sorted(unknown)}")
-    space = Space(str(space_doc["kind"]), int(space_doc["dim"]))
-    return make_kernel(doc["family"], space, **doc.get("params", {}))
+    space_doc, params = doc["space"], doc.get("params", {})
+    if not isinstance(space_doc, dict) or set(space_doc) != {"kind", "dim"}:
+        raise KernelConfigError("space document needs exactly the fields 'kind' and 'dim'")
+    if not isinstance(params, dict):
+        raise KernelConfigError("kernel params must be an object")
+    # Space rejects a non-integer dim rather than truncating it
+    space = Space(str(space_doc["kind"]), space_doc["dim"])
+    return make_kernel(doc["family"], space, **params)

@@ -43,7 +43,7 @@ class Space:
     def __post_init__(self):
         if self.kind not in ("euclidean", "torus"):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
     @property
@@ -371,7 +371,7 @@ def _space_to_json(space: Space):
 
 def _space_from_json(doc):
     _require_fields(doc, {"kind", "dim"}, "space")
-    return Space(str(doc["kind"]), int(doc["dim"]))
+    return Space(str(doc["kind"]), doc["dim"])
 
 
 def _require_fields(doc, allowed, what, required=None):

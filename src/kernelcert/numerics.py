@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Adaptive 1-d quadrature, tail-bounded series summation, symmetric-matrix
-minimum-eigenpair extraction, a dense LP front end, and a vectorized cosine
-transform engine used for spectral energy integrals.
+Adaptive 1-d quadrature, symmetric-matrix minimum-eigenpair extraction, a
+dense LP front end, and a vectorized cosine transform engine used for
+spectral energy integrals.
 
 All routines are pure: tolerances travel through explicit configuration
 values, never hidden module state, so everything here is reentrant and safe
@@ -18,18 +18,14 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import linprog
 
-# Shared tolerance registry.  Callers thread these through configuration
-# objects; they are referenced by name in the test suite.
+# Default quadrature tolerances; callers thread their own through
+# QuadratureConfig.
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-8
 
 
 class QuadratureWarning(UserWarning):
     """Subdivision budget exhausted; the best available estimate was returned."""
-
-
-class SeriesToleranceError(RuntimeError):
-    """The tail bound never met the requested tolerance within the term cap."""
 
 
 class LPError(RuntimeError):
@@ -85,27 +81,6 @@ def integrate_1d(f, a, b, cfg: QuadratureConfig | None = None):
     if len(out) > 3:
         warnings.warn(out[3], QuadratureWarning)
     return value, err
-
-
-def sum_series(term, tail_bound, tol, *, start=0, max_terms=5_000_000):
-    """Sum ``term(n)`` for ``n = start, start+1, ...`` until the tail is certified.
-
-    ``tail_bound(N)`` must bound ``|sum_{n > N} term(n)|`` and decrease to
-    zero.  Returns ``(partial_sum, N_used)`` where ``tail_bound(N_used) <= tol``.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    total = 0.0
-    n = start
-    while True:
-        total += term(n)
-        if tail_bound(n) <= tol:
-            return total, n
-        n += 1
-        if n - start > max_terms:
-            raise SeriesToleranceError(
-                f"tail bound still {tail_bound(n - 1):g} > {tol:g} after {max_terms} terms"
-            )
 
 
 def min_eig_sym(G):

@@ -152,7 +152,10 @@ def construct_witness(k, ref, grid_size=None) -> Witness:
         pts = ref.get("points")
         if pts == "equispaced":
             m = ref.get("count", 5)
-            pts = (TWO_PI * np.arange(m) / m)[:, None]
+            # along the first axis: the per-axis product kernel scales the
+            # one-dimensional Gram matrix by k_1(0)^(d-1), keeping its null vector
+            pts = np.zeros((m, k.space.dim))
+            pts[:, 0] = TWO_PI * np.arange(m) / m
         return gram_null_witness(k, pts)
     if kind == "indistinguishable_pair":
         inner = construct_witness(k, ref["from"], grid_size=grid_size)

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kernelcert as kc
@@ -112,6 +113,12 @@ class TestWitnessVerb:
         rc, _, err = run(capsys, "witness", "--kernel", str(ZOO / "poisson_torus.json"))
         assert rc == 1
 
+    @pytest.mark.parametrize("family", ["poisson_torus", "gaussian_ti", "taylor_exp"])
+    def test_no_failing_certificate_has_no_witness(self, capsys, family):
+        rc, out, err = run(capsys, "witness", "--kernel", str(ZOO / f"{family}.json"))
+        assert rc == 1 and out == ""
+        assert err == f"error: {family} admits no zero-energy witness\n"
+
 
 class TestAuditVerb:
     def test_zoo_is_clean(self, capsys):
@@ -181,3 +188,75 @@ class TestPlumbing:
         rc, out, _ = run(capsys, "measure-ft", "--measure", p, "--samples", "0.5;1.5")
         doc = json.loads(out)
         assert doc["samples"][0]["re"] == 1.0
+
+
+class TestBadInput:
+    """Bad input exits 1 with an error line: never a traceback or a NaN."""
+
+    @pytest.mark.parametrize("family,params", [
+        ("gaussian_ti", {"sigma": math.inf}),
+        ("gaussian_ti", {"sigma": None}),
+        ("constant", {"c": math.nan}),
+        ("dirichlet", {"l": math.inf}),
+        ("radial_atoms", {"atoms": [[math.inf, 1.0]]}),
+        ("radial_atoms", {"atoms": 3}),
+    ])
+    def test_non_finite_or_malformed_parameter(self, capsys, tmp_path, family, params):
+        kind = "torus" if family == "dirichlet" else "euclidean"
+        path = write_measure(tmp_path, "k.json", {
+            "family": family, "space": {"kind": kind, "dim": 1}, "params": params})
+        rc, out, err = run(capsys, "kernel-spectrum", "--kernel", path)
+        assert rc == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("space", [{"kind": "euclidean", "dim": 1.5},
+                                       {"kind": "euclidean"}])
+    def test_bad_space_document(self, capsys, tmp_path, space):
+        path = write_measure(tmp_path, "k.json", {
+            "family": "gaussian_ti", "space": space, "params": {"sigma": 1.0}})
+        rc, out, err = run(capsys, "kernel-spectrum", "--kernel", path)
+        assert rc == 1 and out == "" and err.startswith("error:")
+
+    def test_non_integer_measure_dim(self, capsys, tmp_path):
+        path = write_measure(tmp_path, "m.json", {
+            "space": {"kind": "euclidean", "dim": 1.5}, "atoms": [{"x": [0.0], "w": 1.0}]})
+        rc, _, err = run(capsys, "measure-ft", "--measure", path, "--samples", "0")
+        assert rc == 1 and err.startswith("error:")
+
+    def test_overflowing_energy_is_not_emitted(self, capsys, tmp_path):
+        path = write_measure(tmp_path, "m.json", {
+            "space": {"kind": "euclidean", "dim": 1},
+            "atoms": [{"x": [0.0], "w": 1e300}, {"x": [1.0], "w": -1e300}]})
+        with np.errstate(over="ignore"):
+            rc, out, err = run(capsys, "energy", "--kernel", str(ZOO / "gaussian_ti.json"),
+                               "--measure", path, "--method", "spatial")
+        assert rc == 1 and out == "" and err.startswith("error:")
+
+    def test_non_finite_witness_is_not_written(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(kc.witness, "witness_to_json", lambda w: {"energy": math.nan})
+        out_path = tmp_path / "wit.json"
+        rc, out, err = run(capsys, "certify", "--kernel", str(ZOO / "dirichlet.json"),
+                           "--property", "c-universal", "--out", str(out_path))
+        assert rc == 1 and out == "" and err.startswith("error:")
+        assert not out_path.exists()
+
+    def test_dot_product_spectrum(self, capsys):
+        rc, out, err = run(capsys, "kernel-spectrum", "--kernel", str(ZOO / "taylor_exp.json"))
+        assert rc == 1 and out == "" and err.startswith("error:")
+
+    def test_unparsable_samples(self, capsys):
+        rc, _, err = run(capsys, "kernel-eval", "--kernel", str(ZOO / "gaussian_ti.json"),
+                         "--samples", "0;x")
+        assert rc == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("exc", [kc.numerics.InternalConsistencyError("LP equality residual 2e-09"),
+                                     kc.numerics.LPError("iteration limit reached")])
+    def test_numerical_failure(self, capsys, tmp_path, monkeypatch, exc):
+        def failing_lp(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(kc.weaktopo, "solve_lp", failing_lp)
+        rc, out, err = run(capsys, "experiment-converge",
+                           "--kernel", str(ZOO / "gaussian_ti.json"),
+                           "--kind", "moving", "--samples", "2,1,0.5")
+        assert rc == 1 and out == ""
+        assert err == f"error: {exc}\n"

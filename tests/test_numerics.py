@@ -11,13 +11,11 @@ from kernelcert.numerics import (
     LPUnboundedError,
     QuadratureConfig,
     QuadratureWarning,
-    SeriesToleranceError,
     TriangleWaveTail,
     cosine_transform_even,
     integrate_1d,
     min_eig_sym,
     solve_lp,
-    sum_series,
 )
 
 import oracles
@@ -49,27 +47,6 @@ class TestIntegrate1d:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             integrate_1d(lambda x: x, 1.0, 0.0)
-
-
-class TestSumSeries:
-    def test_geometric(self, frozen):
-        sigma = 0.5
-        val, n_used = sum_series(lambda n: sigma ** n,
-                                 lambda n: sigma ** (n + 1) / (1 - sigma),
-                                 1e-12, start=1)
-        assert abs(val - 1.0) <= 1e-12
-
-    def test_all_zero(self):
-        val, n_used = sum_series(lambda n: 0.0, lambda n: 0.0, 1e-12, start=1)
-        assert val == 0.0 and n_used == 1
-
-    def test_harmonic_type_needs_many_terms(self):
-        val, n_used = sum_series(lambda n: 0.0, lambda n: 4.0 / max(n, 1), 1e-3, start=1)
-        assert n_used >= 4000
-
-    def test_tolerance_never_met(self):
-        with pytest.raises(SeriesToleranceError):
-            sum_series(lambda n: 0.0, lambda n: 1.0, 1e-3, start=1, max_terms=100)
 
 
 class TestMinEig:

@@ -143,3 +143,18 @@ class TestEnvelope:
                 w = construct_witness(k, cert.witness_ref)
                 assert w.norm > 0
                 assert w.energy.value <= max(w.energy.error_bound, 1e-8)
+
+
+@pytest.mark.parametrize("family", ["dirichlet", "fejer"])
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gram_null_witnesses_in_higher_dimension(family, l, dim):
+    # equispaced points along the first axis; the product kernel keeps the
+    # one-dimensional null vector
+    k = kc.make_kernel(family, kc.torus(dim), l=l)
+    for prop in ("strictly_pd", "cond_strictly_pd"):
+        cert = kc.certify(k, prop)
+        assert cert.verdict == "fails" and cert.witness_ref["kind"] == "gram_null"
+        w = construct_witness(k, cert.witness_ref)
+        assert w.norm > 0
+        assert abs(w.energy.value) <= w.energy.error_bound
