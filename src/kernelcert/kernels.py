@@ -200,6 +200,18 @@ def _natural(name, v):
     return int(_number(name, v, lambda x: x == int(x) and x >= 1, "be a positive integer"))
 
 
+# Largest band degree l of dirichlet/fejer: their profile sums l cosines per
+# lag and their witnesses hold about 2l atoms, so cost grows like l^3.
+MAX_BAND_DEGREE = 256
+
+
+def _band_degree(name, v):
+    l = _natural(name, v)
+    if l > MAX_BAND_DEGREE:
+        raise KernelConfigError(f"{name} must be at most {MAX_BAND_DEGREE}, got {l}")
+    return l
+
+
 def _rate_atoms(name, v):
     try:
         atoms = tuple((_nonnegative("rate", t), _positive("mass", m)) for t, m in v)
@@ -278,41 +290,64 @@ def _expcos_series(deltas, target, alpha):
     return vals, errs
 
 
-def _quadpoly_series(deltas, target, n_terms=40000):
+QUADPOLY_TERMS = 256  # N: cosine terms summed directly
+QUADPOLY_EM_ORDER = 18  # K: Euler-Maclaurin correction terms on the tail
+
+
+def _cos_over_sq_derivative(m, d, x):
+    """m-th derivative at x of f(x) = cos(d x) / x^2 per lag d: half the
+    series term (2/n^2) cos(n d), continued to real n."""
+    # (cos(d x))^(j) = d^j cos(d x + j pi/2); (x^-2)^(i) = (-1)^i (i+1)! x^-(i+2)
+    c, s = np.cos(d * x), np.sin(d * x)
+    trig = (c, -s, -c, s)
+    out = np.zeros_like(d)
+    d_pow = np.ones_like(d)
+    for j in range(m + 1):
+        i = m - j
+        out += (math.comb(m, j) * (-1.0) ** i * math.factorial(i + 1) * x ** -(i + 2.0)) \
+            * d_pow * trig[j % 4]
+        d_pow = d_pow * d
+    return out
+
+
+def _quadpoly_series(deltas, target):
     """Cosine series pi^2/3 + 4 sum cos(n d)/n^2 with a corrected tail.
 
-    Lags fold into [0, pi] (the series is even and periodic), the truncated
-    tail is replaced by its exact midpoint integral through the sine
-    integral, and the remainder carries the smaller of the Euler-Maclaurin
-    bound and an Abel summation bound.  At lag zero the tail is exact
-    through the trigamma function.
+    Lags fold into [0, pi] (the series is even and periodic).  With f(x) =
+    cos(d x)/x^2 and A = N + 1/2, the midpoint Euler-Maclaurin formula gives
+    sum_{n>N} f(n) = int_A^inf f - sum_{k<=K} B_2k(1/2)/(2k)! f^(2k-1)(A) + R:
+    the integral is exact through the sine integral, and
+    |R| <= |B_2K|/(2K)! int_A^inf |f^(2K)| <= |B_2K| sum_j d^j / (j! A^(2K-j+1)).
+    Because d <= pi, the terms fall like 4^-k.  At lag zero the tail is
+    exact through the trigamma function.
     """
-    from scipy.special import polygamma, sici
+    from scipy.special import bernoulli, polygamma, sici
 
     deltas = np.mod(np.asarray(deltas, dtype=float), TWO_PI)
     deltas = np.minimum(deltas, TWO_PI - deltas)
     vals = np.full_like(deltas, math.pi ** 2 / 3.0)
     errs = np.full_like(deltas, 1e-13 * math.pi ** 2)
-    N = int(n_terms)
+    N, K = QUADPOLY_TERMS, QUADPOLY_EM_ORDER
     A = N + 0.5
-    n = np.arange(1, N + 1)
+    n = np.arange(1, N + 1, dtype=float)
     zero = np.abs(np.sin(deltas / 2.0)) < 1e-14
     if zero.any():
         partial_zero = float(np.sum(1.0 / n ** 2))
         vals[zero] += 4.0 * (partial_zero + float(polygamma(1, N + 1)))
     if (~zero).any():
         ds = deltas[~zero]
-        acc = np.zeros_like(ds)
-        inv_n2 = 1.0 / n ** 2
-        for lo in range(0, N, 8192):
-            acc += np.cos(np.outer(ds, n[lo:lo + 8192])) @ inv_n2[lo:lo + 8192]
+        acc = numerics.cosine_sums(ds, n, 1.0 / n ** 2)
         si, _ = sici(A * ds)
-        corr = np.cos(A * ds) / A - ds * (np.pi / 2.0 - si)
-        em_bound = (ds * ds / A + 2.0 * ds / A ** 2 + 2.0 / A ** 3) / 24.0
-        abel_bound = (1.0 / ((N + 1) ** 2 * np.abs(np.sin(ds / 2.0)))
-                      + np.minimum(1.0 / A, 2.0 / (ds * A ** 2)))
-        vals[~zero] += 4.0 * (acc + corr)
-        errs[~zero] += 4.0 * np.minimum(em_bound, abel_bound)
+        tail = np.cos(A * ds) / A - ds * (np.pi / 2.0 - si)
+        B = bernoulli(2 * K)
+        for k in range(1, K + 1):
+            # B_2k(1/2) = -(1 - 2^(1-2k)) B_2k
+            b_half = -(1.0 - 2.0 ** (1 - 2 * k)) * B[2 * k]
+            tail -= b_half / math.factorial(2 * k) * _cos_over_sq_derivative(2 * k - 1, ds, A)
+        remainder = abs(B[2 * K]) * sum(ds ** j / (math.factorial(j) * A ** (2 * K - j + 1))
+                                        for j in range(2 * K + 1))
+        vals[~zero] += 4.0 * (acc + tail)
+        errs[~zero] += 4.0 * remainder
     return vals, errs
 
 
@@ -414,13 +449,13 @@ _FAMILIES = {
         coeff=lambda: lambda n: math.pi ** 2 / 3.0 if n == 0 else 2.0 / int(n) ** 2,
         series=_quadpoly_series),
     "dirichlet": FamilySpec(
-        "a2", "torus", {"l": _natural},
+        "a2", "torus", {"l": _band_degree},
         profile=lambda d, l: _cosine_sum(d, l, _dirichlet_coeff(l)),
         coeff=_dirichlet_coeff,
         series=_finite_series(_dirichlet_coeff),
         support=_finite_band),
     "fejer": FamilySpec(
-        "a2", "torus", {"l": _natural},
+        "a2", "torus", {"l": _band_degree},
         profile=lambda d, l: _cosine_sum(d, l, _fejer_coeff(l)),
         coeff=_fejer_coeff,
         series=_finite_series(_fejer_coeff),
@@ -687,19 +722,25 @@ def axis_spectral_transform(k, deltas, target=1e-11):
     raise UnsupportedKernelOperation(f"no axis transform for {k.family}")
 
 
-def gaussian_rate_axis_transform(t, deltas, target=1e-11):
-    """Axis cosine transform for one Gaussian component exp(-t |x-y|^2)."""
+def gaussian_rate_axis_transform(rates, deltas, target=1e-11):
+    """Axis cosine transforms of Gaussian components exp(-t |x-y|^2).
+
+    The transform of rate t at lag d is the standard normal density's at
+    d sqrt(2t), so one quadrature over all scaled lags serves every rate.
+    Returns ``(values, error_bounds)`` of shape ``(len(rates), len(deltas))``.
+    """
+    rates = np.asarray(rates, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
-    if t == 0.0:
-        return np.ones_like(deltas), np.zeros_like(deltas)
-    s = math.sqrt(2.0 * t)
-
-    def density(w):
-        # N(0, 2t) density
-        return np.exp(-w * w / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-
-    return numerics.cosine_transform_even(
-        density, deltas, numerics.GaussianTail(s), target=target)
+    vals = np.ones((rates.size, deltas.size))
+    errs = np.zeros((rates.size, deltas.size))
+    pos = rates > 0.0
+    if pos.any():
+        scaled = np.outer(np.sqrt(2.0 * rates[pos]), deltas)
+        v, e = numerics.cosine_transform_even(
+            lambda w: np.exp(-0.5 * w * w) / SQRT_2PI, scaled.ravel(),
+            numerics.GaussianTail(1.0), target=target)
+        vals[pos], errs[pos] = v.reshape(scaled.shape), e.reshape(scaled.shape)
+    return vals, errs
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,16 @@ class TestBadInput:
         rc, out, err = run(capsys, "kernel-spectrum", "--kernel", path)
         assert rc == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("family", ["dirichlet", "fejer"])
+    def test_band_degree_beyond_the_limit(self, capsys, tmp_path, family):
+        path = write_measure(tmp_path, "k.json", {
+            "family": family, "space": {"kind": "torus", "dim": 1},
+            "params": {"l": 1_000_000_000}})
+        rc, out, err = run(capsys, "certify", "--kernel", path,
+                           "--property", "c-universal", "--out", str(tmp_path / "w.json"))
+        assert rc == 1 and out == "" and err.startswith("error:")
+        assert "at most 256" in err
+
     @pytest.mark.parametrize("space", [{"kind": "euclidean", "dim": 1.5},
                                        {"kind": "euclidean"}])
     def test_bad_space_document(self, capsys, tmp_path, space):

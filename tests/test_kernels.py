@@ -164,7 +164,7 @@ class TestSpectral:
                              ids=lambda k: k.family)
     def test_coefficient_series_matches_profile(self, k):
         rng = np.random.default_rng(23)
-        lags = rng.uniform(0.0, 2 * PI, 10)
+        lags = np.concatenate([rng.uniform(0.0, 2 * PI, 10), [0.0, 1e-9, PI, 2 * PI - 1e-7]])
         vals, errs = axis_spectral_transform(k, lags)
         truth = _axis_profile(k, lags)
         assert np.max(np.abs(vals - truth)) <= 1e-8

@@ -102,7 +102,7 @@ class TestCosineTransform:
     """The engine must reproduce the known transforms of each density family
     within its own certified error bounds."""
 
-    deltas = np.array([0.0, 0.05, 0.4, 1.0, 2.7, 6.0])
+    deltas = np.array([0.0, 1e-4, 1e-3, 0.05, 0.4, 1.0, 2.7, 6.0, 30.0])
 
     def check(self, density, tail, truth):
         vals, errs = cosine_transform_even(density, self.deltas, tail)
