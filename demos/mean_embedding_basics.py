@@ -15,7 +15,7 @@ k = kc.gaussian_ti(1.0)
 
 # a signed measure with atoms of both signs, and a probability pair
 mu = kc.construct(line, [(0.0, 1.0), (1.0, -0.5), (2.5, -0.5)])
-print("atoms:", [(float(p[0]), w) for p, w in mu.atoms()])
+print("atoms:", [(float(p[0]), float(w)) for p, w in zip(mu.points, mu.weights)])
 print("total variation:", mu.total_variation, " total mass:", mu.total_mass)
 
 print("\nembedded function at a few points:")

@@ -171,13 +171,10 @@ def _certify_a2(k, prop):
         return _cert(k, prop, FAILS, "a2_characteristic_coefficients",
                      witness=_pair_ref(grid_ref),
                      details={"coefficient_at_zero": coeff0})
-    if prop == "strictly_pd":
-        if positive:
-            return _cert(k, prop, HOLDS, "universal_implies_spd")
-        return _cert(k, prop, FAILS, "a2_finite_spectrum_rank", witness=null_ref)
-    # cond_strictly_pd
+    # strictly_pd and cond_strictly_pd
     if positive:
-        return _cert(k, prop, HOLDS, "spd_implies_cspd")
+        rule = "universal_implies_spd" if prop == "strictly_pd" else "spd_implies_cspd"
+        return _cert(k, prop, HOLDS, rule)
     return _cert(k, prop, FAILS, "a2_finite_spectrum_rank", witness=null_ref)
 
 
@@ -205,18 +202,10 @@ def _certify_a3(k, prop):
 def _certify_a4(k, prop):
     coeffs = K.taylor_coefficients(k)
     positive = all(coeffs.a(n) > 0 for n in range(64))
-    if prop == "cc_universal":
-        if positive:
-            return _cert(k, prop, HOLDS, "a4_coefficients_positive")
-        return _cert(k, prop, UNKNOWN, "a4_open")
-    if prop == "strictly_pd":
-        if positive:
-            return _cert(k, prop, HOLDS, "universal_implies_spd")
-        return _cert(k, prop, UNKNOWN, "a4_open")
-    if prop == "cond_strictly_pd":
-        if positive:
-            return _cert(k, prop, HOLDS, "spd_implies_cspd")
-        return _cert(k, prop, UNKNOWN, "a4_open")
+    rules = {"cc_universal": "a4_coefficients_positive",
+             "strictly_pd": "universal_implies_spd", "cond_strictly_pd": "spd_implies_cspd"}
+    if positive and prop in rules:
+        return _cert(k, prop, HOLDS, rules[prop])
     # c0-universality and the characteristic property on the open domain
     # ball are not settled by the series criterion
     return _cert(k, prop, UNKNOWN, "a4_open")
@@ -240,14 +229,8 @@ class GramProbe:
 
 def _distinct_points(points, space):
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    n = P.shape[0]
-    if n >= 2:
-        D = np.abs(P[:, None, :] - P[None, :, :])
-        if space.is_torus:
-            two_pi = 2.0 * np.pi
-            D = np.mod(D, two_pi)
-            D = np.minimum(D, two_pi - D)
-        dist = np.linalg.norm(D, axis=2)
+    if len(P) >= 2:
+        dist = np.linalg.norm(K.pair_lags(P, P, space.is_torus), axis=2)
         np.fill_diagonal(dist, np.inf)
         if dist.min() <= 1e-9:
             raise ValueError("points must be pairwise distinct (min distance > 1e-9)")

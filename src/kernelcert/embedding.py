@@ -115,11 +115,13 @@ def embed_eval(k, mu, x):
 # spectral energies
 # ---------------------------------------------------------------------------
 
-def _pair_lags(mu):
+def _pair_lags(mu, rates=1):
     """Distinct per-axis lags |x_i - x_j| of the atom pairs, and the index of
-    each pair's lag on each axis."""
-    D = np.abs(mu.points[:, None, :] - mu.points[None, :, :])
-    return np.unique(D.ravel(), return_inverse=True)
+    each pair's lag on each axis.  The pair sums build arrays of
+    rates * n * n * d entries, so the size guard counts them first."""
+    n, d = mu.points.shape
+    K.require_pair_array(rates * n * n * d)
+    return np.unique(K.pair_lags(mu.points, mu.points).ravel(), return_inverse=True)
 
 
 def _pair_sum(mu, inv, vals_u, errs_u):
@@ -143,28 +145,26 @@ def _pair_sum(mu, inv, vals_u, errs_u):
     return value, bound
 
 
-def _pairwise_energy(mu, axis_fn):
-    """Energy via per-axis transforms of the pairwise lags.
-
-    axis_fn maps an array of nonnegative lags to (values, error bounds) of
-    the axis inverse transform; products over axes and the weighted pair sum
-    assemble the full integral with propagated error.
-    """
+def _pairwise_energy(k, mu, method):
+    """Energy via the kernel's per-axis spectral transforms of the pairwise
+    lags: products over axes and the weighted pair sum assemble the full
+    integral with propagated error."""
+    if mu.is_zero:
+        return EnergyResult(0.0, method, 0.0)
     uniq, inv = _pair_lags(mu)
-    value, bound = _pair_sum(mu, inv, *axis_fn(uniq))
-    return float(value), float(bound)
+    value, bound = _pair_sum(mu, inv, *K.axis_spectral_transform(k, uniq))
+    return EnergyResult(float(value), method, float(bound))
 
 
 def _band_density_energy(k, mu: ModulatedSincSq):
     """d=1 quadrature of |mu-hat|^2 against the kernel's spectral density."""
     spec = K.spectral(k)
     lam = spec.lambda_axis
-    w_edge = mu.omega0 + sinc_sq_spectrum()[0]
-    upper = w_edge
+    half_width = sinc_sq_spectrum()[0]
+    upper = mu.omega0 + half_width
     if spec.support.kind == "box":
         upper = min(upper, spec.support.half_width)
-    lo = max(0.0, mu.omega0 - sinc_sq_spectrum()[0])
-    if upper <= lo and mu.omega0 > sinc_sq_spectrum()[0]:
+    if upper <= mu.omega0 - half_width and mu.omega0 > half_width:
         # spectral supports are disjoint: the integrand vanishes identically
         return 0.0, 1e-15
 
@@ -210,10 +210,7 @@ def _density_energy(k, mu):
         value, bound = _band_density_energy(k, mu)
         return EnergyResult(value, "spectral_quadrature", bound)
     _require_quadrature_input(k, mu)
-    if mu.is_zero:
-        return EnergyResult(0.0, "spectral_quadrature", 0.0)
-    value, bound = _pairwise_energy(mu, lambda d: K.axis_spectral_transform(k, d))
-    return EnergyResult(value, "spectral_quadrature", bound)
+    return _pairwise_energy(k, mu, "spectral_quadrature")
 
 
 def _series_energy(k, mu):
@@ -226,10 +223,7 @@ def _series_energy(k, mu):
                             64 * _EPS * max(value, mu.alpha ** 2) + 1e-300)
     _require_discrete(mu)
     _require_same_space(k, mu)
-    if mu.is_zero:
-        return EnergyResult(0.0, "spectral_series", 0.0)
-    value, bound = _pairwise_energy(mu, lambda d: K.axis_spectral_transform(k, d))
-    return EnergyResult(value, "spectral_series", bound)
+    return _pairwise_energy(k, mu, "spectral_series")
 
 
 def _mixture_energy(k, mu):
@@ -247,7 +241,7 @@ def _mixture_energy(k, mu):
     rates, masses = np.array(list(fine) + list(coarse), dtype=float).T
     caps = masses * tv2
     keep = caps > _SKIP_CAP
-    uniq, inv = _pair_lags(mu)
+    uniq, inv = _pair_lags(mu, int(keep.sum()))
     energies = np.zeros(rates.size)
     bounds = np.full(rates.size, tv2)
     energies[keep], bounds[keep] = _pair_sum(

@@ -44,6 +44,9 @@ from .measures import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Largest pairwise array (atom pairs x axes, or x rates) one call may build:
+# 2^26 float64 entries are 512 MiB.
+PAIR_ARRAY_LIMIT = 2 ** 26
 
 
 class KernelConfigError(ValueError):
@@ -604,19 +607,35 @@ def _check_points(k, X):
     return X
 
 
+def require_pair_array(entries):
+    """Refuse a pairwise array beyond ``PAIR_ARRAY_LIMIT`` entries before it exists."""
+    if entries > PAIR_ARRAY_LIMIT:
+        raise ValueError(f"a pairwise array of {entries} entries exceeds the limit of "
+                         f"{PAIR_ARRAY_LIMIT}; use fewer atoms")
+
+
+def pair_lags(X, Y, torus=False):
+    """Per-axis lags |x - y| of every pair of rows, shape (n, m, d); on the
+    torus folded to the circular distance in [0, pi]."""
+    require_pair_array(X.shape[0] * Y.shape[0] * X.shape[1])
+    D = np.abs(X[:, None, :] - Y[None, :, :])
+    if torus:
+        D = np.mod(D, TWO_PI)
+        D = np.minimum(D, TWO_PI - D)
+    return D
+
+
 def cross_gram(k: KernelDescriptor, X, Y):
     """Matrix of kernel values between two point lists."""
     X = _check_points(k, X)
     Y = _check_points(k, Y)
     spec = family_spec(k)
     if spec.dot is not None:
+        require_pair_array(X.shape[0] * Y.shape[0])
         return spec.dot(X @ Y.T, **dict(k.params))
     # profiles are even, so lags enter through |x - y|; taking the absolute
     # value first makes evaluation exactly symmetric in (x, y)
-    D = np.abs(X[:, None, :] - Y[None, :, :])
-    if k.space.is_torus:
-        D = np.mod(D, TWO_PI)
-        D = np.minimum(D, TWO_PI - D)
+    D = pair_lags(X, Y, k.space.is_torus)
     if spec.profile is not None:
         out = np.ones(D.shape[:2])
         for axis in range(k.space.dim):

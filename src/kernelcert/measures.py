@@ -11,12 +11,13 @@ density on the line whose transform occupies two compact bands.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import integrate_1d, QuadratureConfig
+from .numerics import QuadratureConfig, QuadratureWarning, integrate_1d
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,15 +62,21 @@ def torus(dim=1):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSignedMeasure:
-    """A finite list of weighted atoms; weights are nonzero, points distinct.
+    """Weighted atoms as read-only arrays in canonical form: points distinct
+    (at least ``ATOM_MERGE_TOL`` apart in max-norm) and in lexicographic
+    order, weights nonzero.
 
-    The zero measure is the empty atom list.  Use :func:`construct` rather
-    than the raw constructor so canonicalization and merging run.
+    The zero measure has no atoms.  Use :func:`construct` rather than the
+    raw constructor so canonicalization and merging run.
     """
 
     space: Space
     points: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,)
+
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
 
     @property
     def n_atoms(self):
@@ -95,17 +102,14 @@ class DiscreteSignedMeasure:
             and abs(self.total_mass - 1.0) <= PROBABILITY_TOL
         )
 
-    def atoms(self):
-        """List of (point, weight) pairs."""
-        return [(self.points[i].copy(), float(self.weights[i])) for i in range(self.n_atoms)]
-
     def scaled(self, c):
-        return construct(self.space, [(p, c * w) for p, w in self.atoms()])
+        return construct(self.space, zip(self.points, c * self.weights))
 
     def __add__(self, other):
         if other.space != self.space:
             raise SpaceMismatchError("cannot add measures on different spaces")
-        return construct(self.space, self.atoms() + other.atoms())
+        return construct(self.space, zip(np.concatenate([self.points, other.points]),
+                                         np.concatenate([self.weights, other.weights])))
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
@@ -115,50 +119,59 @@ class DiscreteSignedMeasure:
 
 
 def construct(space: Space, raw_atoms) -> DiscreteSignedMeasure:
-    """Build a measure from (point, weight) pairs.
+    """Build a measure from (point, weight) pairs, in O(n log n).
 
-    Torus coordinates are reduced mod 2pi to [0, 2pi); points within
-    ``ATOM_MERGE_TOL`` in max-norm merge by weight addition and exact-zero
-    weights are dropped, so cancellation yields the zero measure.
+    Torus coordinates are reduced mod 2pi, and one within ``ATOM_MERGE_TOL``
+    below 2pi becomes 0.  On each axis, a run is a maximal chain of the
+    input's coordinates with consecutive gaps below ``ATOM_MERGE_TOL``.
+    Atoms that share a run on every axis merge into one, at their
+    lexicographically least point, with their weights summed in point
+    order.  The rule is transitive and independent of the input order, and
+    it leaves atoms at least ``ATOM_MERGE_TOL`` apart in max-norm.  Zero
+    sums are dropped, so cancellation yields the zero measure.
     """
-    pts = []
-    wts = []
-    for point, weight in raw_atoms:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if p.ndim != 1 or p.size != space.dim:
-            raise InvalidMeasureError(
-                f"point of length {p.size} in space of dimension {space.dim}"
-            )
-        w = float(weight)
-        if not np.isfinite(w):
-            raise InvalidMeasureError("weights must be finite")
-        if not np.all(np.isfinite(p)):
-            raise InvalidMeasureError("points must be finite")
-        if space.is_torus:
-            p = np.mod(p, TWO_PI)
-        merged = False
-        for i, q in enumerate(pts):
-            if np.max(np.abs(p - q)) < ATOM_MERGE_TOL:
-                wts[i] += w
-                merged = True
-                break
-        if not merged:
-            pts.append(p)
-            wts.append(w)
+    pairs = list(raw_atoms)
+    if not pairs:
+        return DiscreteSignedMeasure(space, np.zeros((0, space.dim)), np.zeros(0))
+    try:
+        points = np.array([p for p, _ in pairs], dtype=float)
+        weights = np.array([w for _, w in pairs], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidMeasureError(f"atoms must be (point, weight) pairs of numbers: {exc}") from None
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[1] != space.dim:
+        raise InvalidMeasureError(f"point of length {points[0].size} in space of dimension {space.dim}")
+    if weights.ndim != 1 or not np.all(np.isfinite(weights)):
+        raise InvalidMeasureError("weights must be finite numbers")
+    if not np.all(np.isfinite(points)):
+        raise InvalidMeasureError("points must be finite")
+    if space.is_torus:
+        points = np.mod(points, TWO_PI)
+        points[points > TWO_PI - ATOM_MERGE_TOL] = 0.0
+    if len(pairs) > 1:
+        points, weights = _merge(points, weights)
+    keep = weights != 0.0
+    return DiscreteSignedMeasure(space, points[keep], weights[keep])
 
-    keep = [i for i, w in enumerate(wts) if w != 0.0]
-    if keep:
-        points = np.array([pts[i] for i in keep], dtype=float)
-        weights = np.array([wts[i] for i in keep], dtype=float)
-        order = np.lexsort(points.T[::-1])
-        points = points[order]
-        weights = weights[order]
-    else:
-        points = np.zeros((0, space.dim))
-        weights = np.zeros((0,))
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return DiscreteSignedMeasure(space, points, weights)
+
+def _merge(points, weights):
+    """Sort the atoms, then sum each group that shares a run on every axis."""
+    order = np.lexsort(points.T[::-1])
+    points, weights = points[order], weights[order]
+    if np.all(np.diff(points[:, 0]) >= ATOM_MERGE_TOL):
+        return points, weights  # every run on the first axis holds one atom
+    # a coordinate's run is the number of run starts at or below it
+    labels = np.array([np.searchsorted(s[1:][np.diff(s) >= ATOM_MERGE_TOL], x, "right")
+                       for s, x in zip(np.sort(points, axis=0).T, points.T)])
+    # a stable sort: each group keeps its points in lexicographic order
+    grouped = np.lexsort(labels[::-1])
+    first = np.r_[True, np.any(np.diff(labels[:, grouped]) != 0, axis=0)]
+    merged = points[grouped][first]
+    # bincount adds in array order, so each sum runs in its group's point order
+    sums = np.bincount(np.cumsum(first) - 1, weights=weights[grouped])
+    order = np.lexsort(merged.T[::-1])
+    return merged[order], sums[order]
 
 
 def dirac(space: Space, point, weight=1.0):
@@ -166,10 +179,13 @@ def dirac(space: Space, point, weight=1.0):
 
 
 def jordan_decompose(mu: DiscreteSignedMeasure):
-    """Split into positive and negative parts: ``mu = plus - minus``."""
-    plus = [(p, w) for p, w in mu.atoms() if w > 0]
-    minus = [(p, -w) for p, w in mu.atoms() if w < 0]
-    return construct(mu.space, plus), construct(mu.space, minus)
+    """Split into positive and negative parts: ``mu = plus - minus``.
+
+    Any subset of a canonical measure's atoms is canonical, so the parts are
+    cut out by sign and need no merge."""
+    plus, minus = mu.weights > 0, mu.weights < 0
+    return (DiscreteSignedMeasure(mu.space, mu.points[plus], mu.weights[plus]),
+            DiscreteSignedMeasure(mu.space, mu.points[minus], -mu.weights[minus]))
 
 
 def normalize_to_pq(mu: DiscreteSignedMeasure):
@@ -282,10 +298,6 @@ class ModulatedSincSq:
         tolerances, which is fine here; the norm only needs to be positive
         and roughly right.
         """
-        import warnings
-
-        from .numerics import QuadratureWarning
-
         cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6, max_subdivisions=3000)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuadratureWarning)
@@ -389,7 +401,8 @@ def measure_to_json(mu):
     if isinstance(mu, DiscreteSignedMeasure):
         return {
             "space": _space_to_json(mu.space),
-            "atoms": [{"x": [float(v) for v in p], "w": w} for p, w in mu.atoms()],
+            "atoms": [{"x": x, "w": w}
+                      for x, w in zip(mu.points.tolist(), mu.weights.tolist())],
         }
     if isinstance(mu, TorusCosine):
         return {
@@ -410,11 +423,9 @@ def measure_from_json(doc):
     if ("atoms" in doc) == ("density" in doc):
         raise InvalidMeasureError("measure document needs exactly one of atoms/density")
     if "atoms" in doc:
-        atoms = []
         for entry in doc["atoms"]:
             _require_fields(entry, {"x", "w"}, "atom")
-            atoms.append((entry["x"], entry["w"]))
-        return construct(space, atoms)
+        return construct(space, [(entry["x"], entry["w"]) for entry in doc["atoms"]])
     dens = doc["density"]
     family = dens.get("family")
     if family == "torus_cosine":

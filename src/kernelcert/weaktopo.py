@@ -86,6 +86,25 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def _lipschitz_rows(dist):
+    """Inequality rows of the bounded-Lipschitz program over (f, s, L), from
+    the (n, n) distance matrix: f_i <= s and -f_i <= s for each i, then
+    f_i - f_j <= L d_ij and f_j - f_i <= L d_ij for each pair i < j in
+    row-major order."""
+    n = len(dist)
+    i, j = np.triu_indices(n, 1)
+    pair = 2 * n + 2 * np.arange(len(i))
+    single = 2 * np.arange(n)
+    A = np.zeros((2 * n + 2 * len(i), n + 2))
+    A[single, np.arange(n)] = 1.0
+    A[single + 1, np.arange(n)] = -1.0
+    A[:2 * n, n] = -1.0
+    A[pair, i] = A[pair + 1, j] = 1.0
+    A[pair, j] = A[pair + 1, i] = -1.0
+    A[pair, n + 1] = A[pair + 1, n + 1] = -dist[i, j]
+    return A
+
+
 def bounded_lipschitz(P, Q):
     """Dudley's bounded-Lipschitz distance between discrete probability
     measures, as an exact linear program.
@@ -112,29 +131,13 @@ def bounded_lipschitz(P, Q):
         # the orientation makes the metric exactly symmetric in (P, Q)
         delta = -delta
     n = len(delta)
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-
-    nv = n + 2  # f_1..f_n, s, L
-    rows = []
-    for i in range(n):
-        r = np.zeros(nv); r[i] = 1.0; r[n] = -1.0   # f_i <= s
-        rows.append(r)
-        r = np.zeros(nv); r[i] = -1.0; r[n] = -1.0  # -f_i <= s
-        rows.append(r)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = np.zeros(nv); r[i] = 1.0; r[j] = -1.0; r[n + 1] = -dist[i, j]
-            rows.append(r)          # f_i - f_j <= L d_ij
-            rows.append(-r.copy())
-            rows[-1][n + 1] = -dist[i, j]  # f_j - f_i <= L d_ij
-    A_ub = np.array(rows)
-    b_ub = np.zeros(len(rows))
-    A_eq = np.zeros((1, nv)); A_eq[0, n] = 1.0; A_eq[0, n + 1] = 1.0
-    b_eq = np.array([1.0])
-    c = np.zeros(nv)
+    A_ub = _lipschitz_rows(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2))
+    A_eq = np.zeros((1, n + 2))  # over f_1..f_n, s, L
+    A_eq[0, n:] = 1.0
+    c = np.zeros(n + 2)
     c[:n] = -delta
     bounds = [(None, None)] * n + [(0.0, None), (0.0, None)]
-    fun, _ = solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds=bounds)
+    fun, _ = solve_lp(c, A_ub, np.zeros(len(A_ub)), A_eq, np.ones(1), bounds=bounds)
     return max(0.0, -fun)
 
 
@@ -142,7 +145,7 @@ def _sample_empirical(target, size, rng):
     cum = np.cumsum(target.weights)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.random(size), side="right")
-    return construct(target.space, [(target.points[i], 1.0 / size) for i in idx])
+    return construct(target.space, zip(target.points[idx], np.full(size, 1.0 / size)))
 
 
 def generate_sequence(spec: ConvergenceSpec):
@@ -155,14 +158,11 @@ def generate_sequence(spec: ConvergenceSpec):
         return out
     center = spec.target.points[0]
     for value in spec.params:
+        step = np.zeros_like(center)
+        step[0] = value
         if spec.kind == "shrink":
-            step = np.zeros_like(center)
-            step[0] = value
-            mu = construct(spec.target.space,
-                           [(center - step, 0.5), (center + step, 0.5)])
+            mu = construct(spec.target.space, [(center - step, 0.5), (center + step, 0.5)])
         else:
-            step = np.zeros_like(center)
-            step[0] = value
             mu = dirac(spec.target.space, center + step)
         out.append((float(value), mu))
     return out
@@ -190,12 +190,8 @@ def run_convergence(k, spec: ConvergenceSpec, *, negative_control=False) -> Expe
 
 
 def _kendall_tau(a, b):
-    n = len(a)
-    s = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s += np.sign(a[i] - a[j]) * np.sign(b[i] - b[j])
-    return s / (n * (n - 1) / 2)
+    i, j = np.triu_indices(len(a), 1)
+    return float(np.mean(np.sign(a[i] - a[j]) * np.sign(b[i] - b[j])))
 
 
 def comonotonicity_check(report: ExperimentReport):

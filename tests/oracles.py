@@ -189,3 +189,31 @@ def taylor_exp_feature_energy(atoms, degree):
 def erf_gauss_integral(a):
     """int_{-a}^{a} exp(-x^2/2) dx via the error function."""
     return math.sqrt(2.0 * math.pi) * math.erf(a / math.sqrt(2.0))
+
+
+def greedy_merge(atoms, dim, torus=False, tol=1e-12):
+    """The pairwise merge loop: each atom, in input order, joins the first
+    kept atom within ``tol`` in max-norm, else starts a new one; zero sums
+    are dropped and the rest sorted lexicographically.  Quadratic, and on
+    chains of close coordinates its result depends on the input order; on
+    inputs without such chains it is the canonical form."""
+    pts, wts = [], []
+    for point, weight in atoms:
+        p = np.atleast_1d(np.asarray(point, dtype=float))
+        assert p.shape == (dim,)
+        if torus:
+            p = np.mod(p, 2.0 * math.pi)
+        for i, q in enumerate(pts):
+            if np.max(np.abs(p - q)) < tol:
+                wts[i] += float(weight)
+                break
+        else:
+            pts.append(p)
+            wts.append(float(weight))
+    keep = [i for i, w in enumerate(wts) if w != 0.0]
+    if not keep:
+        return np.zeros((0, dim)), np.zeros(0)
+    points = np.array([pts[i] for i in keep])
+    weights = np.array([wts[i] for i in keep])
+    order = np.lexsort(points.T[::-1])
+    return points[order], weights[order]

@@ -232,6 +232,26 @@ class TestBadInput:
         rc, _, err = run(capsys, "measure-ft", "--measure", path, "--samples", "0")
         assert rc == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("weight", [None, [1.0]])
+    def test_non_numeric_weight(self, capsys, tmp_path, weight):
+        path = write_measure(tmp_path, "m.json", {
+            "space": {"kind": "euclidean", "dim": 1}, "atoms": [{"x": [0.0], "w": weight}]})
+        rc, out, err = run(capsys, "energy", "--kernel", str(ZOO / "gaussian_ti.json"),
+                           "--measure", path, "--method", "spatial")
+        assert rc == 1 and out == "" and err.startswith("error:")
+
+    def test_pairwise_array_beyond_the_limit(self, capsys, tmp_path):
+        # 30 000 atoms need 9e8 kernel values: refused before any allocation
+        x = np.linspace(0.0, 1.0, 30_000)
+        path = write_measure(tmp_path, "m.json", {
+            "space": {"kind": "euclidean", "dim": 1},
+            "atoms": [{"x": [v], "w": 1.0} for v in x.tolist()]})
+        for method in ("spatial", "spectral"):
+            rc, out, err = run(capsys, "energy", "--kernel", str(ZOO / "gaussian_ti.json"),
+                               "--measure", path, "--method", method)
+            assert rc == 1 and out == "" and err.startswith("error:")
+            assert "exceeds the limit" in err
+
     def test_overflowing_energy_is_not_emitted(self, capsys, tmp_path):
         path = write_measure(tmp_path, "m.json", {
             "space": {"kind": "euclidean", "dim": 1},

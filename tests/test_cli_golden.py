@@ -4,8 +4,8 @@ Pins exit code and stdout of ``audit``, ``kernel-spectrum``, ``certify``
 (every applicable property), ``witness`` and ``energy --method both`` on a
 fixed 6-atom measure, plus the witness file each failing ``certify`` writes.
 Witness paths are reduced to their basename.  An exit code of ``null``
-marks a command that raised at capture time; it may now exit 1 instead, with
-the same stdout.
+marks a command that raised at capture time, so a traceback never matches a
+pinned exit code.
 
 Regenerate (only when an output change is intended) from the repository
 root with ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -88,11 +88,7 @@ def test_cli_output_matches_golden(tmp_path):
     got = capture(tmp_path)
     assert sorted(got) == sorted(golden)
     for key, want in golden.items():
-        have = got[key]
-        if want["rc"] is None:
-            assert have["rc"] in (None, 1), key
-            have = {**have, "rc": None}
-        assert have == want, key
+        assert got[key] == want, key
 
 
 if __name__ == "__main__":

@@ -169,7 +169,7 @@ class TestEmbedEval:
         rng = np.random.default_rng(4)
         mu = random_discrete(E1, 6, rng)
         nu = random_discrete(E1, 5, rng)
-        lhs = sum(w * kc.embed_eval(k, nu, x) for x, w in mu.atoms())
+        lhs = sum(w * kc.embed_eval(k, nu, x) for x, w in zip(mu.points, mu.weights))
         rhs = kc.inner(k, mu, nu)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernelcert as kc
-from kernelcert.measures import InvalidMeasureError, SpaceMismatchError
+from kernelcert.measures import ATOM_MERGE_TOL, InvalidMeasureError, SpaceMismatchError
+from oracles import greedy_merge
 
 
 PI = math.pi
@@ -41,6 +42,32 @@ class TestConstruct:
         with pytest.raises(InvalidMeasureError):
             kc.construct(E1, [(0.0, float("nan"))])
 
+    def test_torus_wraps_just_below_two_pi_to_zero(self):
+        # 0 and -1e-13 are the same point of the circle: the pair cancels
+        assert kc.construct(T1, [(0.0, 1.0), (-1e-13, -1.0)]).is_zero
+        # np.mod rounds -1e-20 up to 2 pi; the atom belongs at 0
+        mu = kc.construct(T1, [(-1e-20, 1.0)])
+        assert mu.points[0, 0] == 0.0 and mu.weights[0] == 1.0
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1]])
+    def test_chain_merges_in_any_order(self, order):
+        atoms = [(0.0, 1.0), (0.9e-12, 2.0), (1.8e-12, 4.0)]
+        mu = kc.construct(E1, [atoms[i] for i in order])
+        assert mu.n_atoms == 1
+        assert mu.points[0, 0] == 0.0 and mu.weights[0] == 7.0
+
+    def test_groups_are_not_neighbours_in_point_order(self):
+        # (0.5e-12, 7) sorts between the two points of the other group
+        mu = kc.construct(kc.euclidean(2), [([0.0, 0.0], 1.0), ([0.5e-12, 7.0], 2.0),
+                                            ([0.7e-12, 0.0], 4.0)])
+        assert mu.points.tolist() == [[0.0, 0.0], [0.5e-12, 7.0]]
+        assert mu.weights.tolist() == [5.0, 2.0]
+
+    @pytest.mark.parametrize("weight", [None, [1.0], "one"])
+    def test_non_numeric_weight(self, weight):
+        with pytest.raises(InvalidMeasureError):
+            kc.construct(E1, [(0.0, weight)])
+
     def test_probability_flag(self):
         mu = kc.construct(E1, [(0.0, 0.25), (1.0, 0.75)])
         assert mu.is_probability
@@ -56,6 +83,87 @@ def atom_lists(draw):
         w = draw(st.floats(-3, 3, allow_nan=False).filter(lambda v: abs(v) > 1e-6))
         atoms.append((x, w))
     return atoms
+
+
+SPACES = [kc.euclidean(d) for d in (1, 2, 3)] + [kc.torus(d) for d in (1, 2, 3)]
+
+
+@st.composite
+def clustered_atoms(draw, space, step):
+    """Atoms around a few grid points, each coordinate offset by a multiple
+    of ``step``, with exact duplicates and cancelling pairs.  With
+    ``step = 0.45e-12`` every run of close coordinates spans less than
+    ``ATOM_MERGE_TOL`` (chain-free); with larger steps chains form."""
+    d = space.dim
+    grid = st.integers(0, 20) if space.is_torus else st.integers(-20, 20)
+    centers = draw(st.lists(st.tuples(*[grid] * d), min_size=1, max_size=4))
+    weight = st.floats(-3, 3, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+    atoms = []
+    for _ in range(draw(st.integers(1, 12))):
+        c = draw(st.sampled_from(centers))
+        offsets = draw(st.tuples(*[st.integers(0, 2)] * d))
+        p = np.array([0.3 * ci + step * oi for ci, oi in zip(c, offsets)])
+        w = draw(weight)
+        atoms.append((p, w))
+        if draw(st.booleans()):
+            atoms.append((p.copy(), draw(st.sampled_from([w, -w]))))
+    return atoms
+
+
+def _assert_same_up_to_rounding(a, b, tol):
+    """Same atoms and weights, except that a weight within ``tol`` of zero
+    may have cancelled to exact zero on one side only."""
+    big_a, big_b = np.abs(a.weights) > tol, np.abs(b.weights) > tol
+    assert np.array_equal(a.points[big_a], b.points[big_b])
+    assert np.all(np.abs(a.weights[big_a] - b.weights[big_b]) <= tol)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_invariant_under_permutation(self, space, data):
+        atoms = data.draw(clustered_atoms(space, data.draw(st.sampled_from([0.45e-12, 0.6e-12]))))
+        perm = data.draw(st.permutations(range(len(atoms))))
+        mu = kc.construct(space, atoms)
+        nu = kc.construct(space, [atoms[i] for i in perm])
+        tv = sum(abs(w) for _, w in atoms)
+        _assert_same_up_to_rounding(mu, nu, len(atoms) * np.finfo(float).eps * tv)
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_idempotent_and_separated(self, space, data):
+        atoms = data.draw(clustered_atoms(space, data.draw(st.sampled_from([0.45e-12, 0.6e-12]))))
+        mu = kc.construct(space, atoms)
+        again = kc.construct(space, zip(mu.points, mu.weights))
+        assert np.array_equal(again.points, mu.points)
+        assert np.array_equal(again.weights, mu.weights)
+        assert np.all(mu.weights != 0.0)
+        if space.is_torus:
+            assert np.all((mu.points >= 0.0) & (mu.points < 2 * PI))
+        for i in range(mu.n_atoms):
+            for j in range(i + 1, mu.n_atoms):
+                assert np.max(np.abs(mu.points[i] - mu.points[j])) >= ATOM_MERGE_TOL
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_greedy_loop_without_chains(self, space, data):
+        atoms = data.draw(clustered_atoms(space, 0.45e-12))
+        mu = kc.construct(space, atoms)
+        # a merged atom sits at its group's least point, with the weights
+        # added in point order: the greedy loop does the same on sorted input
+        by_point = sorted(range(len(atoms)), key=lambda i: tuple(atoms[i][0]))
+        points, weights = greedy_merge([atoms[i] for i in by_point], space.dim, space.is_torus)
+        assert np.array_equal(mu.points, points)
+        assert np.array_equal(mu.weights, weights)
+        # on exact duplicates alone the greedy loop gives the same bits in input order
+        exact = [(np.round(p, 6), w) for p, w in atoms]
+        points, weights = greedy_merge(exact, space.dim, space.is_torus)
+        nu = kc.construct(space, exact)
+        assert np.array_equal(nu.points, points)
+        assert np.array_equal(nu.weights, weights)
 
 
 class TestJordan:
@@ -74,7 +182,7 @@ class TestJordan:
         mu = kc.construct(E1, [(0.0, 2.0), (1.0, -3.0), (2.0, 1.0)])
         plus, minus = kc.jordan_decompose(mu)
         assert plus.total_mass == 3.0 and minus.total_mass == 3.0
-        assert sorted(w for _, w in minus.atoms()) == [3.0]
+        assert sorted(minus.weights.tolist()) == [3.0]
 
     @given(atom_lists())
     @settings(max_examples=60, deadline=None)
@@ -86,8 +194,8 @@ class TestJordan:
         assert np.array_equal(diff.points, mu.points)
         assert np.array_equal(diff.weights, mu.weights)
         # disjoint supports: distinct atoms are at least the merge tolerance apart
-        for p, _ in plus.atoms():
-            for q, _ in minus.atoms():
+        for p in plus.points:
+            for q in minus.points:
                 assert np.max(np.abs(p - q)) >= 1e-12
 
 

@@ -4,13 +4,40 @@ import pytest
 
 import kernelcert as kc
 from kernelcert.measures import SpaceMismatchError
+from kernelcert.weaktopo import _lipschitz_rows
 
 from conftest import random_probability
 
 E1 = kc.euclidean(1)
 
 
+def lipschitz_rows_loop(dist):
+    """The bounded-Lipschitz constraint rows built one at a time: the
+    reference for the array build."""
+    n = len(dist)
+    nv = n + 2  # f_1..f_n, s, L
+    rows = []
+    for i in range(n):
+        r = np.zeros(nv); r[i] = 1.0; r[n] = -1.0   # f_i <= s
+        rows.append(r)
+        r = np.zeros(nv); r[i] = -1.0; r[n] = -1.0  # -f_i <= s
+        rows.append(r)
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = np.zeros(nv); r[i] = 1.0; r[j] = -1.0; r[n + 1] = -dist[i, j]
+            rows.append(r)          # f_i - f_j <= L d_ij
+            rows.append(-r.copy())
+            rows[-1][n + 1] = -dist[i, j]  # f_j - f_i <= L d_ij
+    return np.array(rows)
+
+
 class TestBoundedLipschitz:
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (7, 2), (40, 3)])
+    def test_constraint_rows_match_the_loop(self, n, d):
+        pts = np.random.default_rng(n).normal(0, 1, (n, d))
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        assert np.array_equal(_lipschitz_rows(dist), lipschitz_rows_loop(dist))
+
     def test_equal_measures(self):
         P = kc.dirac(E1, 0.3)
         assert kc.bounded_lipschitz(P, P) == 0.0
