@@ -586,11 +586,8 @@ def constant(c=1.0, space=None):
 # ---------------------------------------------------------------------------
 
 def _axis_profile(k, d):
-    """Per-axis profile psi_1 evaluated on an array of lags."""
-    profile = family_spec(k).profile
-    if profile is None:
-        raise UnsupportedKernelOperation(f"{k.family} has no per-axis profile")
-    return profile(d, **dict(k.params))
+    """Per-axis profile psi_1 of a product family, on an array of lags."""
+    return family_spec(k).profile(d, **dict(k.params))
 
 
 def _check_points(k, X):
@@ -614,11 +611,12 @@ def require_pair_array(entries):
                          f"{PAIR_ARRAY_LIMIT}; use fewer atoms")
 
 
-def pair_lags(X, Y, torus=False):
-    """Per-axis lags |x - y| of every pair of rows, shape (n, m, d); on the
-    torus folded to the circular distance in [0, pi]."""
+def pair_lags(X, Y, torus=False, axis=slice(None)):
+    """Lags |x - y| of every pair of rows on ``axis``, shape (n, m, d) on all
+    axes or (n, m) on one; on the torus folded to the circular distance in
+    [0, pi]."""
     require_pair_array(X.shape[0] * Y.shape[0] * X.shape[1])
-    D = np.abs(X[:, None, :] - Y[None, :, :])
+    D = np.abs(X[:, None, axis] - Y[None, :, axis])
     if torus:
         D = np.mod(D, TWO_PI)
         D = np.minimum(D, TWO_PI - D)
@@ -633,15 +631,15 @@ def cross_gram(k: KernelDescriptor, X, Y):
     if spec.dot is not None:
         require_pair_array(X.shape[0] * Y.shape[0])
         return spec.dot(X @ Y.T, **dict(k.params))
-    # profiles are even, so lags enter through |x - y|; taking the absolute
-    # value first makes evaluation exactly symmetric in (x, y)
-    D = pair_lags(X, Y, k.space.is_torus)
+    # profiles are even, so lags enter through |x - y|, exactly symmetric in
+    # (x, y); one (n, m) lag matrix per axis, never the (n, m, d) stack
+    lags = (pair_lags(X, Y, k.space.is_torus, a) for a in range(k.space.dim))
     if spec.profile is not None:
-        out = np.ones(D.shape[:2])
-        for axis in range(k.space.dim):
-            out *= _axis_profile(k, D[:, :, axis])
+        out = np.ones((X.shape[0], Y.shape[0]))
+        for D in lags:
+            out *= _axis_profile(k, D)
         return out
-    return spec.radial(np.sum(D * D, axis=2), **dict(k.params))
+    return spec.radial(sum(D * D for D in lags), **dict(k.params))
 
 
 def eval_kernel(k: KernelDescriptor, x, y):

@@ -11,6 +11,8 @@ from kernelcert.kernels import (
     UnsupportedKernelOperation,
     axis_spectral_transform,
     _axis_profile,
+    family_spec,
+    pair_lags,
 )
 from kernelcert.measures import SpaceMismatchError
 
@@ -95,6 +97,25 @@ class TestGram:
         G = kc.gram(k, _random_points(k, 20, rng))
         lam, _ = kc.min_eig_sym(G)
         assert lam >= -1e-10 * np.trace(G)
+
+    @pytest.mark.parametrize("k", [
+        kc.gaussian_ti(1.0, 3), kc.laplacian_ti(1.0, 2), kc.poisson_torus(0.5, 3),
+        kc.dirichlet(2, 2), kc.radial_gaussian(1.0, 3), kc.inverse_multiquadric(1.0, 2.0, 3),
+    ], ids=lambda k: f"{k.family}-d{k.space.dim}")
+    def test_cross_gram_matches_the_stacked_lags(self, k):
+        # cross_gram works one axis at a time; the (n, m, d) stack of lags
+        # gives the same matrix, bit for bit
+        rng = np.random.default_rng(5)
+        X, Y = _random_points(k, 30, rng), _random_points(k, 20, rng)
+        if k.space.is_torus:
+            X = X - 2 * PI  # lags beyond 2pi exercise the fold
+        D = pair_lags(X, Y, k.space.is_torus)
+        spec = family_spec(k)
+        if spec.profile is not None:
+            want = np.prod([_axis_profile(k, D[:, :, a]) for a in range(D.shape[2])], axis=0)
+        else:
+            want = spec.radial(np.sum(D * D, axis=2), **dict(k.params))
+        assert np.array_equal(kc.cross_gram(k, X, Y), want)
 
 
 class TestSpectral:
