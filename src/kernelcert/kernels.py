@@ -134,21 +134,20 @@ class FamilySpec:
     ``params`` maps each parameter name to its validator ``check(name,
     value)``.  Evaluators take their argument first and the kernel
     parameters as keywords: ``profile`` (per-axis profile of a lag, classes
-    a1/a2), ``radial`` (profile of the squared distance, a3/constant),
-    ``dot`` (profile of the inner product, a4) and ``series`` (a2: certified
-    per-axis cosine series at lags in [0, 2 pi) to a target, returning
-    ``(values, bounds)``).  The remaining functions build from the
-    parameters alone: ``lam`` the per-axis spectral density (a1), ``tail``
-    its ``numerics.AxisTailRule``, ``coeff`` the per-axis Fourier coefficient
-    function (a2), ``support`` the :class:`SpectralSupport` (a1/a2; ``None``
-    means full support), ``mixing`` the rate-mixing :class:`SpectralMeasure`
+    a1/a2), ``radial`` (profile of the squared distance, a3/constant) and
+    ``dot`` (profile of the inner product, a4).  The remaining functions
+    build from the parameters alone: ``lam`` the per-axis spectral density
+    (a1), ``coeff`` the per-axis Fourier coefficients of an integer array of
+    frequencies (a2), ``tail`` the truncation rule of either, a
+    ``numerics.AxisTailRule`` (a1) or ``numerics.SeriesTail`` (a2),
+    ``support`` the :class:`SpectralSupport` (a1/a2; ``None`` means full
+    support), ``mixing`` the rate-mixing :class:`SpectralMeasure`
     (a3/constant), ``quadrature(n_nodes)`` the Gaussian components of a
     mixing density, and ``taylor`` the :class:`TaylorCoefficients` (a4).
     ``vanishes`` and ``integrable`` describe an a1 profile at infinity.
 
     The spectral functions never call ``profile``, so the spectral route
-    stays independent of the closed form; the finite cosine sums of the
-    band-limited torus families are the one place where the two coincide.
+    stays independent of the closed form.
     """
 
     klass: str
@@ -160,7 +159,6 @@ class FamilySpec:
     lam: object = None
     tail: object = None
     coeff: object = None
-    series: object = None
     support: object = None
     vanishes: bool = False
     integrable: bool = False
@@ -248,49 +246,43 @@ def _sinc_sq_lam():
 
 
 def _dirichlet_coeff(l):
-    return lambda n: 1.0 if abs(int(n)) <= l else 0.0
+    return lambda n: (np.abs(n) <= l).astype(float)
 
 
 def _fejer_coeff(l):
-    return lambda n: max(0.0, 1.0 - abs(int(n)) / (l + 1.0)) if abs(int(n)) <= l else 0.0
+    return lambda n: np.maximum(0.0, 1.0 - np.abs(n) / (l + 1.0))
+
+
+def _expcos_coeff(alpha):
+    def coeff(n):
+        m = np.abs(n)
+        return np.where(m == 0, 1.0, 0.5 * np.exp(m * math.log(alpha) - gammaln(m + 1.0)))
+    return coeff
+
+
+def _quadpoly_coeff(n):
+    n = np.asarray(n, dtype=float)
+    return np.where(n == 0, math.pi ** 2 / 3.0, 2.0 / np.maximum(n * n, 1.0))
 
 
 def _cosine_sum(d, l, coeff):
-    """1 + 2 sum_{n=1..l} c_n cos(n d): profile and exact series at once of
-    a torus family whose coefficients live on {-l, ..., l}."""
+    """1 + 2 sum_{n=1..l} c_n cos(n d): the profile of a torus family whose
+    coefficients live on {-l, ..., l}."""
     out = np.ones_like(np.asarray(d, dtype=float))
     for n in range(1, l + 1):
         out = out + 2.0 * coeff(n) * np.cos(n * d)
     return out
 
 
-def _finite_series(coeff_fn):
-    def series(deltas, target, l):
-        vals = _cosine_sum(deltas, l, coeff_fn(l))
-        return vals, np.full_like(vals, 4e-15 * (2 * l + 1))
-    return series
+def _poisson_tail(sigma):
+    # 2 sum_{n>N} sigma^n = 2 sigma^(N+1) / (1 - sigma)
+    N = max(8, math.ceil(math.log(1e-18) / math.log(sigma)))
+    return numerics.SeriesTail(N, 2.0 * sigma ** (N + 1) / (1.0 - sigma))
 
 
-def _poisson_series(deltas, target, sigma):
-    s = sigma
-    N = max(8, int(math.ceil(math.log(1e-18) / math.log(s))))
-    n = np.arange(1, N + 1)
-    vals = 1.0 + 2.0 * (np.cos(np.outer(deltas, n)) @ (s ** n))
-    z = s * np.exp(1j * deltas)
-    vals += 2.0 * np.real(z ** (N + 1) / (1.0 - z))
-    errs = np.full_like(vals, 1e-14 * (1.0 + s) / (1.0 - s))
-    return vals, errs
-
-
-def _expcos_series(deltas, target, alpha):
-    a = alpha
-    N = 40
-    n = np.arange(1, N + 1)
-    coeffs = np.exp(n * math.log(a) - gammaln(n + 1.0))
-    vals = 1.0 + np.cos(np.outer(deltas, n)) @ coeffs
-    tail = a ** (N + 1) / math.factorial(N + 1) / (1.0 - a / (N + 2))
-    errs = np.full_like(vals, tail + 1e-14 * math.e)
-    return vals, errs
+def _expcos_tail(alpha):
+    # sum_{n>40} alpha^n / n! <= alpha^41 / 41! / (1 - alpha / 42)
+    return numerics.SeriesTail(40, alpha ** 41 / math.factorial(41) / (1.0 - alpha / 42))
 
 
 QUADPOLY_TERMS = 256  # N: cosine terms summed directly
@@ -313,45 +305,32 @@ def _cos_over_sq_derivative(m, d, x):
     return out
 
 
-def _quadpoly_series(deltas, target):
-    """Cosine series pi^2/3 + 4 sum cos(n d)/n^2 with a corrected tail.
+def _quadpoly_tail(d):
+    """Tail 4 sum_{n>N} cos(n d)/n^2 of the quadpoly series at lags d in
+    [0, pi], and its remainder.
 
-    Lags fold into [0, pi] (the series is even and periodic).  With f(x) =
-    cos(d x)/x^2 and A = N + 1/2, the midpoint Euler-Maclaurin formula gives
-    sum_{n>N} f(n) = int_A^inf f - sum_{k<=K} B_2k(1/2)/(2k)! f^(2k-1)(A) + R:
-    the integral is exact through the sine integral, and
-    |R| <= |B_2K|/(2K)! int_A^inf |f^(2K)| <= |B_2K| sum_j d^j / (j! A^(2K-j+1)).
-    Because d <= pi, the terms fall like 4^-k.  At lag zero the tail is
-    exact through the trigamma function.
+    With f(x) = cos(d x)/x^2 and A = N + 1/2, the midpoint Euler-Maclaurin
+    formula gives sum_{n>N} f(n) = int_A^inf f - sum_{k<=K} B_2k(1/2)/(2k)!
+    f^(2k-1)(A) + R: the integral is exact through the sine integral, and
+    |R| <= |B_2K|/(2K)! int_A^inf |f^(2K)| <= |B_2K| sum_j d^j / (j!
+    A^(2K-j+1)).  Because d <= pi, the terms fall like 4^-k; at lag 0, |R|
+    is below 1e-75.  The bound adds 1e-14 for round-off: the sine integral
+    near pi/2 is within a few ulp, which d <= pi and the factor 4 scale to
+    below 1e-14.
     """
-    from scipy.special import bernoulli, polygamma, sici
+    from scipy.special import bernoulli
 
-    deltas = np.mod(np.asarray(deltas, dtype=float), TWO_PI)
-    deltas = np.minimum(deltas, TWO_PI - deltas)
-    vals = np.full_like(deltas, math.pi ** 2 / 3.0)
-    errs = np.full_like(deltas, 1e-13 * math.pi ** 2)
     N, K = QUADPOLY_TERMS, QUADPOLY_EM_ORDER
     A = N + 0.5
-    n = np.arange(1, N + 1, dtype=float)
-    zero = np.abs(np.sin(deltas / 2.0)) < 1e-14
-    if zero.any():
-        partial_zero = float(np.sum(1.0 / n ** 2))
-        vals[zero] += 4.0 * (partial_zero + float(polygamma(1, N + 1)))
-    if (~zero).any():
-        ds = deltas[~zero]
-        acc = numerics.cosine_sums(ds, n, 1.0 / n ** 2)
-        si, _ = sici(A * ds)
-        tail = np.cos(A * ds) / A - ds * (np.pi / 2.0 - si)
-        B = bernoulli(2 * K)
-        for k in range(1, K + 1):
-            # B_2k(1/2) = -(1 - 2^(1-2k)) B_2k
-            b_half = -(1.0 - 2.0 ** (1 - 2 * k)) * B[2 * k]
-            tail -= b_half / math.factorial(2 * k) * _cos_over_sq_derivative(2 * k - 1, ds, A)
-        remainder = abs(B[2 * K]) * sum(ds ** j / (math.factorial(j) * A ** (2 * K - j + 1))
-                                        for j in range(2 * K + 1))
-        vals[~zero] += 4.0 * (acc + tail)
-        errs[~zero] += 4.0 * remainder
-    return vals, errs
+    tail = numerics.cos_over_sq_tail(d, A)
+    B = bernoulli(2 * K)
+    for k in range(1, K + 1):
+        # B_2k(1/2) = -(1 - 2^(1-2k)) B_2k
+        b_half = -(1.0 - 2.0 ** (1 - 2 * k)) * B[2 * k]
+        tail -= b_half / math.factorial(2 * k) * _cos_over_sq_derivative(2 * k - 1, d, A)
+    remainder = abs(B[2 * K]) * sum(d ** j / (math.factorial(j) * A ** (2 * K - j + 1))
+                                    for j in range(2 * K + 1))
+    return 4.0 * tail, 4.0 * remainder + 1e-14
 
 
 def _atoms_radial(r2, atoms):
@@ -438,30 +417,29 @@ _FAMILIES = {
     "poisson_torus": FamilySpec(
         "a2", "torus", {"sigma": _open_unit},
         profile=lambda d, sigma: (1.0 - sigma * sigma) / (sigma * sigma - 2.0 * sigma * np.cos(d) + 1.0),
-        coeff=lambda sigma: lambda n: sigma ** abs(int(n)),
-        series=_poisson_series),
+        coeff=lambda sigma: lambda n: sigma ** np.abs(n),
+        tail=_poisson_tail),
     "expcos_torus": FamilySpec(
         "a2", "torus", {"alpha": _half_open_unit},
         profile=lambda d, alpha: np.exp(alpha * np.cos(d)) * np.cos(alpha * np.sin(d)),
-        coeff=lambda alpha: lambda n: (
-            1.0 if n == 0 else alpha ** abs(int(n)) / (2.0 * math.factorial(abs(int(n))))),
-        series=_expcos_series),
+        coeff=_expcos_coeff,
+        tail=_expcos_tail),
     "quadpoly_torus": FamilySpec(
         "a2", "torus", {},
         profile=lambda d: (np.pi - np.mod(d, TWO_PI)) ** 2,
-        coeff=lambda: lambda n: math.pi ** 2 / 3.0 if n == 0 else 2.0 / int(n) ** 2,
-        series=_quadpoly_series),
+        coeff=lambda: _quadpoly_coeff,
+        tail=lambda: numerics.SeriesTail(QUADPOLY_TERMS, correction=_quadpoly_tail)),
     "dirichlet": FamilySpec(
         "a2", "torus", {"l": _band_degree},
         profile=lambda d, l: _cosine_sum(d, l, _dirichlet_coeff(l)),
         coeff=_dirichlet_coeff,
-        series=_finite_series(_dirichlet_coeff),
+        tail=lambda l: numerics.SeriesTail(l),
         support=_finite_band),
     "fejer": FamilySpec(
         "a2", "torus", {"l": _band_degree},
         profile=lambda d, l: _cosine_sum(d, l, _fejer_coeff(l)),
         coeff=_fejer_coeff,
-        series=_finite_series(_fejer_coeff),
+        tail=lambda l: numerics.SeriesTail(l),
         support=_finite_band),
     "radial_gaussian": FamilySpec(
         "a3", "euclidean", {"sigma": _positive},
@@ -613,14 +591,14 @@ def require_pair_array(entries):
 
 def pair_lags(X, Y, torus=False, axis=slice(None)):
     """Lags |x - y| of every pair of rows on ``axis``, shape (n, m, d) on all
-    axes or (n, m) on one; on the torus folded to the circular distance in
-    [0, pi]."""
+    axes or (n, m) on one; on the torus the points reduce mod 2 pi first and
+    the lags fold to the circular distance in [0, pi]."""
     require_pair_array(X.shape[0] * Y.shape[0] * X.shape[1])
-    D = np.abs(X[:, None, axis] - Y[None, :, axis])
+    X, Y = X[:, axis], Y[:, axis]
     if torus:
-        D = np.mod(D, TWO_PI)
-        D = np.minimum(D, TWO_PI - D)
-    return D
+        X, Y = np.mod(X, TWO_PI), np.mod(Y, TWO_PI)
+    D = np.abs(X[:, None] - Y[None, :])
+    return np.minimum(D, TWO_PI - D) if torus else D
 
 
 def cross_gram(k: KernelDescriptor, X, Y):
@@ -691,12 +669,12 @@ def spectral(k: KernelDescriptor) -> SpectralMeasure:
         axis = spec.coeff(**p)
 
         def coeff(n):
-            n = np.atleast_1d(np.asarray(n))
-            return float(np.prod([axis(int(v)) for v in n]))
+            # a frequency vector, or one frequency for the per-axis coefficient
+            return float(np.prod(axis(np.asarray(n, dtype=int))))
 
         support = spec.support(**p) if spec.support else SpectralSupport("all_integers")
         return SpectralMeasure(kind="torus_coefficients", support=support,
-                               coeff=coeff, coeff_axis=axis)
+                               coeff=coeff, coeff_axis=coeff)
     if spec.mixing is not None:
         return spec.mixing(**p)
     raise UnsupportedKernelOperation(
@@ -721,7 +699,7 @@ def mixing_components(k: KernelDescriptor, n_nodes=24):
 
 # per-axis transforms with certified error, consumed by the energy code
 
-def axis_spectral_transform(k, deltas, target=1e-11):
+def axis_spectral_transform(k, deltas):
     """c(d) = per-axis inverse transform of the spectral object at lags d.
 
     For A1 kernels this is the cosine transform of the axis spectral
@@ -732,14 +710,13 @@ def axis_spectral_transform(k, deltas, target=1e-11):
     spec = family_spec(k)
     p = dict(k.params)
     if spec.lam is not None:
-        return numerics.cosine_transform_even(
-            spec.lam(**p), deltas, spec.tail(**p), target=target)
-    if spec.series is not None:
-        return spec.series(np.mod(deltas, TWO_PI), target, **p)
+        return numerics.cosine_transform_even(spec.lam(**p), deltas, spec.tail(**p))
+    if spec.coeff is not None:
+        return numerics.cosine_series(spec.coeff(**p), deltas, spec.tail(**p))
     raise UnsupportedKernelOperation(f"no axis transform for {k.family}")
 
 
-def gaussian_rate_axis_transform(rates, deltas, target=1e-11):
+def gaussian_rate_axis_transform(rates, deltas):
     """Axis cosine transforms of Gaussian components exp(-t |x-y|^2).
 
     The transform of rate t at lag d is the standard normal density's at
@@ -755,7 +732,7 @@ def gaussian_rate_axis_transform(rates, deltas, target=1e-11):
         scaled = np.outer(np.sqrt(2.0 * rates[pos]), deltas)
         v, e = numerics.cosine_transform_even(
             lambda w: np.exp(-0.5 * w * w) / SQRT_2PI, scaled.ravel(),
-            numerics.GaussianTail(1.0), target=target)
+            numerics.GaussianTail(1.0))
         vals[pos], errs[pos] = v.reshape(scaled.shape), e.reshape(scaled.shape)
     return vals, errs
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import QuadratureConfig, QuadratureWarning, integrate_1d
+from .numerics import QuadratureConfig, QuadratureWarning, cos_over_sq_tail, integrate_1d
 
 TWO_PI = 2.0 * math.pi
 
@@ -309,22 +309,15 @@ class ModulatedSincSq:
 def _sinc_sq_plain_transform(omega):
     """int_R sin^2(x)/x^2 cos(omega x) dx, by quadrature plus exact
     sine-integral tails.  Pure oracle: assumes nothing about the support."""
-    from scipy.special import sici
-
-    def tail(eta):
-        # int_1^inf cos(eta x) / x^2 dx
-        eta = abs(float(eta))
-        if eta == 0.0:
-            return 1.0
-        si, _ = sici(eta)
-        return math.cos(eta) - eta * (math.pi / 2.0 - si)
 
     core, _ = integrate_1d(
         lambda x: float(np.sinc(x / np.pi) ** 2 * np.cos(omega * x)), 0.0, 1.0,
         QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=200),
     )
-    val = core + 0.5 * tail(omega) - 0.25 * (tail(2.0 + omega) + tail(abs(2.0 - omega)))
-    return 2.0 * val
+    # sin^2(x) = (1 - cos 2x) / 2: three tails int_1^inf cos(eta x) / x^2 dx
+    val = core + 0.5 * cos_over_sq_tail(omega, 1.0) - 0.25 * (
+        cos_over_sq_tail(2.0 + omega, 1.0) + cos_over_sq_tail(2.0 - omega, 1.0))
+    return float(2.0 * val)
 
 
 @lru_cache(maxsize=1)

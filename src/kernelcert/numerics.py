@@ -23,8 +23,9 @@ lag bucket:
 * ``TriangleWaveTail`` (q = (1 - cos w)/(pi w^2)): the tail is exact
   through the sine integral, up to round-off.
 
-The quadrature error estimate is the difference against the same rule on
-every other panel edge.
+Panels are one oscillation period wide, and the quadrature error estimate
+is the difference against the same rule on every other panel edge.
+:func:`cosine_series` sums the cosine series of torus Fourier coefficients.
 
 All routines are pure: tolerances travel through explicit configuration
 values, never hidden module state, so everything here is reentrant and safe
@@ -45,6 +46,9 @@ from scipy.optimize import linprog
 # QuadratureConfig.
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-8
+
+# Per-lag accuracy the spectral transforms aim their tail cutoffs at.
+SPECTRAL_TARGET = 1e-11
 
 
 class QuadratureWarning(UserWarning):
@@ -201,18 +205,17 @@ def _cos_dot(density, edges, deltas):
     return 2.0 * cosine_sums(deltas, nodes, wts * density(nodes))
 
 
-def _segment_edges(cut, freq, tail, max_panels=6000):
-    """Panel edges on [0, cut]: linear panels over the density bulk, one
-    oscillation period wide, then octave-doubling panels of
-    ``tail.octave_periods`` periods each."""
+def _segment_edges(cut, freq, tail):
+    """Panel edges on [0, cut], each about one oscillation period wide:
+    linear panels over the density bulk (at least ``tail.min_panels``), then
+    octave-doubling segments beyond it."""
     bulk = min(tail.bulk, cut)
-    p_lin = int(min(max_panels, max(tail.min_panels, np.ceil(bulk * freq / (2.0 * np.pi)))))
+    p_lin = int(max(tail.min_panels, np.ceil(bulk * freq / (2.0 * np.pi))))
     parts = [np.linspace(0.0, bulk, p_lin + 1)]
     x = bulk
     while x < cut:
         x2 = min(2.0 * x, cut)
-        p = int(min(max_panels, max(1, np.ceil(
-            (x2 - x) * freq / (2.0 * np.pi * tail.octave_periods)))))
+        p = int(max(1, np.ceil((x2 - x) * freq / (2.0 * np.pi))))
         parts.append(np.linspace(x, x2, p + 1)[1:])
         x = x2
     return np.concatenate(parts)
@@ -230,20 +233,18 @@ def _halved(edges):
 class AxisTailRule:
     """Family-specific truncation of the tail integral beyond a cutoff.
 
-    ``cutoff(dmin, target)`` picks the truncation point so the certified
-    remainder at lag >= dmin stays below ``target``; ``correction(cut, d)``
+    ``cutoff(dmin)`` picks the truncation point so the certified remainder
+    at lag >= dmin stays below ``SPECTRAL_TARGET``; ``correction(cut, d)``
     returns the two-sided tail correction added to the core integral and its
-    certified remainder bound.  ``bulk`` is where the density's mass sits,
-    ``min_panels`` the fewest linear panels laid over it, and
-    ``octave_periods`` the oscillation periods per panel beyond it.
+    certified remainder bound.  ``bulk`` is where the density's mass sits and
+    ``min_panels`` the fewest linear panels laid over it.
     """
 
     intrinsic_freq = 0.0
     bulk = np.inf
     min_panels = 24
-    octave_periods = 5.0
 
-    def cutoff(self, dmin, target):
+    def cutoff(self, dmin):
         raise NotImplementedError
 
     def correction(self, cut, deltas):
@@ -259,11 +260,11 @@ class AxisTailRule:
 class BoxTail(AxisTailRule):
     """Compactly supported density: integrate to the edge, no tail."""
 
-    def __init__(self, half_width, bulk=None):
+    def __init__(self, half_width):
         self.half_width = float(half_width)
-        self.bulk = float(bulk if bulk is not None else half_width)
+        self.bulk = self.half_width
 
-    def cutoff(self, dmin, target):
+    def cutoff(self, dmin):
         return self.half_width
 
     def correction(self, cut, deltas):
@@ -282,10 +283,10 @@ class GaussianTail(AxisTailRule):
         self.s = float(s)
         self.bulk = 10.0 * self.s
 
-    def cutoff(self, dmin, target):
+    def cutoff(self, dmin):
         from scipy.special import erfcinv
         # push the truncation well below target; extra panels are cheap here
-        t = max(1e-5 * target, 1e-290)
+        t = 1e-5 * SPECTRAL_TARGET
         return self.s * np.sqrt(2.0) * float(erfcinv(t))
 
     def decay_bound(self, deltas):
@@ -317,14 +318,11 @@ class CauchyTail(AxisTailRule):
     (m+1)! s / (pi w^(m+2)).  After M = 2K steps the two-sided remainder at
     lag d is at most 2 (2K)! s / (pi A^(2K+1) d^(2K)); the cutoff takes the
     K <= ``max_k`` that makes A smallest at the bucket's least lag, and the
-    correction the K that makes the remainder smallest at each lag.  Panels
-    beyond the bulk span one period, as the cutoff lies far out in the
-    oscillatory region.
+    correction the K that makes the remainder smallest at each lag.
     """
 
     max_k = 8
     min_panels = 48
-    octave_periods = 1.0
 
     def __init__(self, s):
         self.s = float(s)
@@ -335,12 +333,12 @@ class CauchyTail(AxisTailRule):
         return (math.log(2.0 * self.s / math.pi) + math.lgamma(2 * k + 1.0)
                 - (2 * k + 1) * np.log(cut) - 2 * k * np.log(d))
 
-    def cutoff(self, dmin, target):
+    def cutoff(self, dmin):
         if dmin <= 0.0:
             return 60.0 * self.s
         # log A at which the K-step remainder at dmin is a thousandth of the
         # target, per K; A grows only like its (2K+1)-th root
-        logs = [(math.log(2e3 * self.s / (math.pi * target)) + math.lgamma(2 * k + 1.0)
+        logs = [(math.log(2e3 * self.s / (math.pi * SPECTRAL_TARGET)) + math.lgamma(2 * k + 1.0)
                  - 2 * k * math.log(dmin)) / (2 * k + 1)
                 for k in range(1, self.max_k + 1)]
         return max(40.0 * self.s, math.exp(min(logs)))
@@ -379,38 +377,33 @@ class CauchyTail(AxisTailRule):
 
 
 class TriangleWaveTail(AxisTailRule):
-    """Density (1/pi)(1 - cos w)/w^2; the tail is exact via the sine integral."""
+    """Density (1/pi)(1 - cos w)/w^2; the tail is exact via the sine
+    integral, so the cutoff is the end of the bulk."""
 
     intrinsic_freq = 1.0
+    bulk = 80.0
 
-    def __init__(self):
-        self.bulk = 80.0
-
-    def cutoff(self, dmin, target):
-        return 120.0
-
-    @staticmethod
-    def _cos_over_sq(eta, cut):
-        # int_cut^inf cos(eta w) / w^2 dw, exact through Si
-        from scipy.special import sici
-        eta = np.abs(np.asarray(eta, dtype=float))
-        out = np.empty_like(eta)
-        zero = eta == 0.0
-        out[zero] = 1.0 / cut
-        ez = eta[~zero]
-        si, _ = sici(ez * cut)
-        out[~zero] = np.cos(ez * cut) / cut - ez * (np.pi / 2.0 - si)
-        return out
+    def cutoff(self, dmin):
+        return self.bulk
 
     def correction(self, cut, deltas):
         d = np.asarray(deltas, dtype=float)
-        c = self._cos_over_sq
-        corr = (2.0 / np.pi) * (c(d, cut) - 0.5 * c(d + 1.0, cut) - 0.5 * c(np.abs(d - 1.0), cut))
+        c = cos_over_sq_tail
+        corr = (2.0 / np.pi) * (c(d, cut) - 0.5 * c(d + 1.0, cut) - 0.5 * c(d - 1.0, cut))
         bound = np.full_like(d, 4e-14)
         return corr, bound
 
 
-def cosine_transform_even(density, deltas, tail: AxisTailRule, *, target=1e-11):
+def cos_over_sq_tail(eta, cut):
+    """``int_cut^inf cos(eta w) / w^2 dw`` for cut > 0, exact through the
+    sine integral; at eta = 0 the formula gives 1 / cut exactly."""
+    from scipy.special import sici
+    eta = np.abs(eta)
+    si, _ = sici(eta * cut)
+    return np.cos(eta * cut) / cut - eta * (np.pi / 2.0 - si)
+
+
+def cosine_transform_even(density, deltas, tail: AxisTailRule):
     """``c(d) = int_R cos(w d) density(w) dw`` for a vector of lags ``d >= 0``.
 
     ``density`` must be even (only its restriction to w >= 0 is evaluated)
@@ -429,7 +422,7 @@ def cosine_transform_even(density, deltas, tail: AxisTailRule, *, target=1e-11):
     todo = np.ones(deltas.shape, dtype=bool)
     decay = tail.decay_bound(deltas)
     if decay is not None:
-        todo = ~(decay <= 1e-5 * target)
+        todo = ~(decay <= 1e-5 * SPECTRAL_TARGET)
         errs[~todo] = decay[~todo]
 
     pos = deltas[todo & (deltas > 0)]
@@ -451,7 +444,7 @@ def cosine_transform_even(density, deltas, tail: AxisTailRule, *, target=1e-11):
         if not mask.any():
             continue
         ds = deltas[mask]
-        cut = tail.cutoff(dmin, target)
+        cut = tail.cutoff(dmin)
         freq = dmax + tail.intrinsic_freq
         edges = _segment_edges(cut, freq, tail)
         core = _cos_dot(density, edges, ds)
@@ -459,4 +452,48 @@ def cosine_transform_even(density, deltas, tail: AxisTailRule, *, target=1e-11):
         corr, bound = tail.correction(cut, ds)
         vals[mask] = core + corr
         errs[mask] = np.abs(core - coarse) + bound + 1e-15
+    return vals, errs
+
+
+@dataclass(frozen=True)
+class SeriesTail:
+    """Truncation of a cosine series after ``terms`` terms: ``bound``
+    certifies |2 sum_{n > terms} c_n cos(n d)|, or else ``correction(d)``
+    returns that tail at lags d in [0, pi] and a bound on its remainder."""
+
+    terms: int
+    bound: float = 0.0
+    correction: object = None
+
+
+def cosine_series(coeff, lags, tail: SeriesTail):
+    """``c(d) = c_0 + 2 sum_{n >= 1} c_n cos(n d)`` for a vector of lags.
+
+    ``coeff`` maps an integer array of frequencies to their coefficients.
+    Lags fold once into [0, pi], where the even, 2 pi-periodic series is
+    evaluated (the fold is exact on lags already there).  The first
+    ``tail.terms`` terms go through the blocked :func:`cosine_sums`.
+    Returns ``(values, error_bounds)``: the tail's bound plus round-off.
+
+    Round-off, with u = 2^-53 and S = |c_0| + 2 sum_{n <= terms} |c_n|: any
+    order of summing ``terms`` products errs by at most (terms - 1) u times
+    their absolute sum; each cosine (within one ulp, 2u) and each product
+    add 3u |2 c_n|; adding c_0 and the tail correction add u S each; in all
+    (terms + 4) u S.  Rounding n d moves the argument of the n-th cosine by
+    at most u n d <= u n pi, so that term by at most 2 |c_n| u n pi: the
+    bound adds u pi sum_n 2 n |c_n| for it.
+    """
+    d = np.mod(lags, 2.0 * np.pi)
+    d = np.minimum(d, 2.0 * np.pi - d)
+    n = np.arange(tail.terms + 1)
+    c = coeff(n)
+    w = 2.0 * c[1:]
+    vals = c[0] + cosine_sums(d, n[1:].astype(float), w)
+    rounding = 2.0 ** -53 * ((tail.terms + 4) * (abs(c[0]) + np.abs(w).sum())
+                             + np.pi * float(n[1:] @ np.abs(w)))
+    errs = np.full_like(vals, tail.bound + rounding)
+    if tail.correction is not None:
+        corr, rem = tail.correction(d)
+        vals += corr
+        errs += rem
     return vals, errs

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,34 @@ class TestSpectral:
         truth = _axis_profile(k, lags)
         assert np.max(np.abs(vals - truth)) <= 1e-8
         assert np.all(np.abs(vals - truth) <= errs + 1e-12)
+
+    @pytest.mark.parametrize("k,terms", [
+        (kc.poisson_torus(0.5), 64), (kc.expcos_torus(1.0), 30), (kc.dirichlet(3), 3),
+        (kc.fejer(4), 4), (kc.dirichlet(40), 40),
+    ], ids=lambda v: getattr(v, "family", str(v)))
+    def test_coefficient_series_matches_the_term_loop(self, k, terms):
+        # the coefficients summed one term at a time up to a count whose
+        # tail is below 1e-17: 2 (0.5^65) / 0.5 and 1 / 31! here, none for
+        # the band-limited families
+        rng = np.random.default_rng(29)
+        lags = np.concatenate([[0.0, 1e-9, PI, 2 * PI - 1e-7, 7.5], rng.uniform(0.0, 4 * PI, 20)])
+        c = kc.spectral(k).coeff_axis
+        loop = np.array([c(0) + sum(2.0 * c(n) * math.cos(n * d) for n in range(1, terms + 1))
+                         for d in lags])
+        vals, errs = axis_spectral_transform(k, lags)
+        assert np.all(np.abs(vals - loop) <= errs)
+
+    def test_series_memory_does_not_grow_with_the_terms(self):
+        # 5e5 lags times poisson's 60 terms would be 240 MB per array
+        lags = np.linspace(0.0, 2 * PI, 500_000)
+        k = kc.poisson_torus(0.5)
+        tracemalloc.start()
+        try:
+            axis_spectral_transform(k, lags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_radial_atoms_is_exact_mixture(self):
         atoms = [(0.3, 1.2), (2.0, 0.5), (0.0, 0.25)]

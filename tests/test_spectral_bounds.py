@@ -30,11 +30,12 @@ SPECTRAL_FAMILIES = {
 # Median spectral error_bound per family over the sample of
 # ``_guard_bounds``, recorded with the spectral routes as they stood before
 # the multi-step Cauchy tail, the higher-order Euler-Maclaurin quadpoly tail
-# and the batched Gaussian-rate transform.
+# and the batched Gaussian-rate transform; b1_spline's since its panels
+# span one period each, up to a cutoff at the end of its bulk.
 MEDIAN_BOUND_CEILING = {
     "gaussian_ti": 4.850647591506151e-12,
     "laplacian_ti": 0.00020838811330902937,
-    "b1_spline": 4.494096941046385e-05,
+    "b1_spline": 5.007612844738715e-12,
     "sinc": 4.402955471974718e-12,
     "sinc_sq": 2.588286864971569e-12,
     "poisson_torus": 4.6099834659634994e-11,
