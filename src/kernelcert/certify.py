@@ -145,7 +145,7 @@ def _certify_a1(k, prop):
 def _certify_a2(k, prop):
     spec = K.spectral(k)
     positive = spec.support.kind == "all_integers"
-    coeff0 = spec.coeff_axis(0)
+    coeff0 = spec.coeff(0)
     grid_ref = null_ref = None
     if not positive:
         l = max(spec.support.frequencies)

@@ -217,7 +217,7 @@ def _series_energy(k, mu):
     if isinstance(mu, TorusCosine):
         if k.space.dim != 1:
             raise UnsupportedCombinationError("TorusCosine lives on the circle")
-        coeff = K.spectral(k).coeff_axis
+        coeff = K.spectral(k).coeff
         value = 2.0 * (2.0 * math.pi) ** 2 * mu.alpha ** 2 * coeff(mu.n0)
         return EnergyResult(value, "spectral_series",
                             64 * _EPS * max(value, mu.alpha ** 2) + 1e-300)

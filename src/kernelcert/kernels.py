@@ -100,7 +100,8 @@ class SpectralMeasure:
     over axes); the underlying spectral measure has density
     ``(2 pi)^{-d/2} * density`` with respect to Lebesgue measure, exposed per
     axis as ``lambda_axis``.  For torus families ``coeff`` gives the Fourier
-    coefficient of an integer frequency vector.  For radial families the
+    coefficient of an integer frequency vector, and of one integer the
+    per-axis coefficient.  For radial families the
     mixing measure over Gaussian rates is given by atoms or a density on
     [0, inf).
     """
@@ -110,7 +111,6 @@ class SpectralMeasure:
     density: object = None
     lambda_axis: object = None
     coeff: object = None
-    coeff_axis: object = None
     mixing_atoms: tuple | None = None
     mixing_density: object = None
     supp_is_only_zero: bool | None = None
@@ -673,8 +673,7 @@ def spectral(k: KernelDescriptor) -> SpectralMeasure:
             return float(np.prod(axis(np.asarray(n, dtype=int))))
 
         support = spec.support(**p) if spec.support else SpectralSupport("all_integers")
-        return SpectralMeasure(kind="torus_coefficients", support=support,
-                               coeff=coeff, coeff_axis=coeff)
+        return SpectralMeasure(kind="torus_coefficients", support=support, coeff=coeff)
     if spec.mixing is not None:
         return spec.mixing(**p)
     raise UnsupportedKernelOperation(

@@ -173,6 +173,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _NODE_CHUNK = 16384
 _BLOCK = 64 * _NODE_CHUNK  # lag-node products per cosine block (8 MB)
+MAX_PANELS = 1 << 18  # per lag bucket, 16 nodes each: 33 MB per node array
 
 
 def _gl_grid(edges):
@@ -208,17 +209,18 @@ def _cos_dot(density, edges, deltas):
 def _segment_edges(cut, freq, tail):
     """Panel edges on [0, cut], each about one oscillation period wide:
     linear panels over the density bulk (at least ``tail.min_panels``), then
-    octave-doubling segments beyond it."""
-    bulk = min(tail.bulk, cut)
-    p_lin = int(max(tail.min_panels, np.ceil(bulk * freq / (2.0 * np.pi))))
-    parts = [np.linspace(0.0, bulk, p_lin + 1)]
-    x = bulk
-    while x < cut:
-        x2 = min(2.0 * x, cut)
-        p = int(max(1, np.ceil((x2 - x) * freq / (2.0 * np.pi))))
-        parts.append(np.linspace(x, x2, p + 1)[1:])
-        x = x2
-    return np.concatenate(parts)
+    octave-doubling segments beyond it.  More than ``MAX_PANELS`` raise
+    ValueError before any node is allocated."""
+    bounds = [0.0, min(tail.bulk, cut)]
+    while bounds[-1] < cut:
+        bounds.append(min(2.0 * bounds[-1], cut))
+    counts = np.maximum(1.0, np.ceil(np.diff(bounds) * freq / (2.0 * np.pi)))
+    counts[0] = max(counts[0], tail.min_panels)
+    if counts.sum() > MAX_PANELS:
+        raise ValueError(f"the spectral quadrature at lag {freq - tail.intrinsic_freq:.6g} "
+                         f"needs {counts.sum():.3g} panels, above the limit of {MAX_PANELS}")
+    parts = [np.linspace(a, b, int(p) + 1)[1:] for a, b, p in zip(bounds, bounds[1:], counts)]
+    return np.concatenate([[0.0]] + parts)
 
 
 def _halved(edges):
@@ -387,10 +389,12 @@ class TriangleWaveTail(AxisTailRule):
         return self.bulk
 
     def correction(self, cut, deltas):
+        # Si(eta cut) nears pi/2, so its round-off grows with eta: below
+        # 1.8 u (d + 1) against 40-digit values for d <= 2.1e4; bound 8 u (d + 1)
         d = np.asarray(deltas, dtype=float)
         c = cos_over_sq_tail
         corr = (2.0 / np.pi) * (c(d, cut) - 0.5 * c(d + 1.0, cut) - 0.5 * c(d - 1.0, cut))
-        bound = np.full_like(d, 4e-14)
+        bound = np.maximum(4e-14, 2.0 ** -50 * (d + 1.0))
         return corr, bound
 
 
@@ -455,6 +459,9 @@ def cosine_transform_even(density, deltas, tail: AxisTailRule):
     return vals, errs
 
 
+MAX_SERIES_TERMS = 1 << 20  # per cosine series: 8 MB per array of terms
+
+
 @dataclass(frozen=True)
 class SeriesTail:
     """Truncation of a cosine series after ``terms`` terms: ``bound``
@@ -467,13 +474,13 @@ class SeriesTail:
 
 
 def cosine_series(coeff, lags, tail: SeriesTail):
-    """``c(d) = c_0 + 2 sum_{n >= 1} c_n cos(n d)`` for a vector of lags.
+    """``c(d) = c_0 + 2 sum_{n >= 1} c_n cos(n d)`` for nonnegative lags.
 
     ``coeff`` maps an integer array of frequencies to their coefficients.
     Lags fold once into [0, pi], where the even, 2 pi-periodic series is
-    evaluated (the fold is exact on lags already there).  The first
-    ``tail.terms`` terms go through the blocked :func:`cosine_sums`.
-    Returns ``(values, error_bounds)``: the tail's bound plus round-off.
+    evaluated.  The first ``tail.terms`` terms go through the blocked
+    :func:`cosine_sums`.  Returns ``(values, error_bounds)``: the tail's
+    bound plus round-off.
 
     Round-off, with u = 2^-53 and S = |c_0| + 2 sum_{n <= terms} |c_n|: any
     order of summing ``terms`` products errs by at most (terms - 1) u times
@@ -481,17 +488,23 @@ def cosine_series(coeff, lags, tail: SeriesTail):
     add 3u |2 c_n|; adding c_0 and the tail correction add u S each; in all
     (terms + 4) u S.  Rounding n d moves the argument of the n-th cosine by
     at most u n d <= u n pi, so that term by at most 2 |c_n| u n pi: the
-    bound adds u pi sum_n 2 n |c_n| for it.
+    bound adds u pi sum_n 2 n |c_n| for it.  Folding d > pi (exact fmod and
+    Sterbenz steps) moves it by (floor(d / 2 pi) + 1) 2^-51 at most, as the
+    float 2 pi is within 2^-51 of the period: that times sum_n 2 n |c_n|.
     """
+    if tail.terms > MAX_SERIES_TERMS:
+        raise ValueError(f"the cosine series needs {tail.terms} terms, "
+                         f"above the limit of {MAX_SERIES_TERMS}")
     d = np.mod(lags, 2.0 * np.pi)
     d = np.minimum(d, 2.0 * np.pi - d)
     n = np.arange(tail.terms + 1)
     c = coeff(n)
     w = 2.0 * c[1:]
     vals = c[0] + cosine_sums(d, n[1:].astype(float), w)
-    rounding = 2.0 ** -53 * ((tail.terms + 4) * (abs(c[0]) + np.abs(w).sum())
-                             + np.pi * float(n[1:] @ np.abs(w)))
-    errs = np.full_like(vals, tail.bound + rounding)
+    moment = float(n[1:] @ np.abs(w))
+    rounding = 2.0 ** -53 * ((tail.terms + 4) * (abs(c[0]) + np.abs(w).sum()) + np.pi * moment)
+    folds = np.where(lags > np.pi, np.floor(lags / (2.0 * np.pi)) + 1.0, 0.0)
+    errs = tail.bound + rounding + 2.0 ** -51 * moment * folds
     if tail.correction is not None:
         corr, rem = tail.correction(d)
         vals += corr

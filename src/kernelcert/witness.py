@@ -63,7 +63,7 @@ def torus_zero_energy_witness(k, grid_size, n0=None, alpha=1.0) -> Witness:
     l = max(spec.support.frequencies)
     if n0 is None:
         n0 = l + 1
-    if spec.coeff_axis(n0) != 0.0:
+    if spec.coeff(n0) != 0.0:
         raise WitnessError(f"coefficient at {n0} is nonzero")
     m = int(grid_size)
     if m < n0 + l + 1:

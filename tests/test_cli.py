@@ -52,6 +52,14 @@ class TestEnergyVerb:
         assert doc["difference"] <= doc["bounds"]
         assert abs(doc["spatial"]["value"] - 16.0 / 3.0) <= 1e-10
 
+    def test_far_atoms_beyond_the_panel_limit_exit_1(self, capsys, tmp_path):
+        far = write_measure(tmp_path, "far.json", {
+            "space": {"kind": "euclidean", "dim": 1},
+            "atoms": [{"x": [0.0], "w": 1.0}, {"x": [1e6], "w": -0.5}]})
+        rc, out, err = run(capsys, "energy", "--kernel", str(ZOO / "b1_spline.json"),
+                           "--measure", far, "--method", "both")
+        assert rc == 1 and out == "" and "panels" in err
+
     def test_unsupported_combination_is_domain_error(self, capsys, antipodal):
         rc, _, err = run(capsys, "energy", "--kernel", str(ZOO / "gaussian_ti.json"),
                          "--measure", antipodal)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +149,27 @@ class TestEnergySpectral:
     def test_taylor_unsupported(self):
         with pytest.raises(UnsupportedCombinationError):
             kc.energy_spectral(kc.taylor_exp(), kc.dirac(E1, 0.0))
+
+    @pytest.mark.parametrize("gap", [300.0, 3e3, 2e4])
+    def test_far_atoms_stay_within_the_bound(self, gap):
+        # near the panel limit the sine-integral tail of b1_spline loses
+        # digits in proportion to the lag; the bound must follow
+        mu = diracs(E1, ([0.0], 1.0), ([gap], -0.5), ([gap / 3 + 0.1], 0.25))
+        k = kc.b1_spline()
+        sp, se = kc.energy_spatial(k, mu), kc.energy_spectral(k, mu)
+        assert abs(sp.value - se.value) <= sp.error_bound + se.error_bound
+
+    @pytest.mark.parametrize("k,gap", [(kc.b1_spline(), 1e6), (kc.b1_spline(), 1e7),
+                                       (kc.laplacian_ti(1.0), 1e7), (kc.sinc(1.0), 1e9)],
+                             ids=["b1_spline-1e6", "b1_spline-1e7", "laplacian_ti-1e7", "sinc-1e9"])
+    def test_panel_limit_refuses_before_allocating(self, k, gap):
+        # one-period panels up to these lags would need 10^7 or more
+        # panels, gigabytes of nodes
+        mu = diracs(E1, ([0.0], 1.0), ([gap], -0.5))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="panels"):
+            kc.energy_spectral(k, mu)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestEmbedEval:

@@ -202,13 +202,13 @@ class TestSpectral:
         # the band-limited families
         rng = np.random.default_rng(29)
         lags = np.concatenate([[0.0, 1e-9, PI, 2 * PI - 1e-7, 7.5], rng.uniform(0.0, 4 * PI, 20)])
-        c = kc.spectral(k).coeff_axis
+        c = kc.spectral(k).coeff
         loop = np.array([c(0) + sum(2.0 * c(n) * math.cos(n * d) for n in range(1, terms + 1))
                          for d in lags])
         vals, errs = axis_spectral_transform(k, lags)
         assert np.all(np.abs(vals - loop) <= errs)
 
-    def test_series_memory_does_not_grow_with_the_terms(self):
+    def test_series_holds_no_lags_by_terms_array(self):
         # 5e5 lags times poisson's 60 terms would be 240 MB per array
         lags = np.linspace(0.0, 2 * PI, 500_000)
         k = kc.poisson_torus(0.5)
@@ -219,6 +219,13 @@ class TestSpectral:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    def test_series_term_limit_refuses_before_allocating(self):
+        # sigma = 1 - 1e-9 would need about 4e10 terms
+        k = kc.poisson_torus(1.0 - 1e-9)
+        with pytest.raises(ValueError, match="terms"):
+            axis_spectral_transform(k, np.array([0.0, 1.0]))
+        assert axis_spectral_transform(kc.poisson_torus(0.99995), np.array([1.0]))[0].size == 1
 
     def test_radial_atoms_is_exact_mixture(self):
         atoms = [(0.3, 1.2), (2.0, 0.5), (0.0, 0.25)]
