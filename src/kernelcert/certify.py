@@ -107,6 +107,7 @@ def _certify_a1(k, prop):
     full = spec.support.kind == "full_space"
     family = K.family_spec(k)
     in_c0, integrable = family.vanishes, family.integrable
+    # a margin of one beyond edge plus half-width keeps the supports disjoint
     band_ref = None if full else {
         "kind": "bandlimited_zero_energy",
         "omega0": spec.support.half_width + sinc_sq_spectrum()[0] + 1.0,

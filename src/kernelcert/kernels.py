@@ -416,7 +416,8 @@ _FAMILIES = {
         vanishes=True, integrable=True),
     "poisson_torus": FamilySpec(
         "a2", "torus", {"sigma": _open_unit},
-        profile=lambda d, sigma: (1.0 - sigma * sigma) / (sigma * sigma - 2.0 * sigma * np.cos(d) + 1.0),
+        profile=lambda d, sigma: ((1.0 - sigma) * (1.0 + sigma)
+                                  / ((1.0 - sigma) ** 2 + 4.0 * sigma * np.sin(0.5 * d) ** 2)),
         coeff=lambda sigma: lambda n: sigma ** np.abs(n),
         tail=_poisson_tail),
     "expcos_torus": FamilySpec(

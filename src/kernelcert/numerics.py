@@ -1,8 +1,7 @@
-"""Shared numerical kernels.
-
-Adaptive 1-d quadrature, symmetric-matrix minimum-eigenpair extraction, a
-dense LP front end, and a vectorized cosine transform engine used for
-spectral energy integrals.
+"""Shared numerical kernels: adaptive 1-d quadrature (QUADPACK, whose error
+is an estimate: only the derivation of the sinc-squared spectrum uses it),
+symmetric-matrix minimum-eigenpair extraction, a dense LP front end, and
+Gauss-Legendre panels for every certified spectral integral.
 
 The cosine transform ``c(d) = int_R cos(w d) q(w) dw`` of an even density
 ``q`` is composite Gauss-Legendre quadrature on [0, A] plus a tail rule for
@@ -42,11 +41,6 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import linprog
 
-# Default quadrature tolerances; callers thread their own through
-# QuadratureConfig.
-DEFAULT_ABS_TOL = 1e-10
-DEFAULT_REL_TOL = 1e-8
-
 # Per-lag accuracy the spectral transforms aim their tail cutoffs at.
 SPECTRAL_TARGET = 1e-11
 
@@ -73,8 +67,8 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    abs_tol: float = DEFAULT_ABS_TOL
-    rel_tol: float = DEFAULT_REL_TOL
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-8
     max_subdivisions: int = 200
 
     def __post_init__(self):
@@ -84,9 +78,6 @@ class QuadratureConfig:
             raise ValueError("max_subdivisions must be >= 1")
 
 
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
 def integrate_1d(f, a, b, cfg: QuadratureConfig | None = None):
     """Adaptive quadrature of ``f`` over the finite interval ``[a, b]``.
 
@@ -94,7 +85,7 @@ def integrate_1d(f, a, b, cfg: QuadratureConfig | None = None):
     a :class:`QuadratureWarning` is emitted and the best estimate is
     returned with its (larger) error estimate.
     """
-    cfg = cfg or DEFAULT_QUADRATURE
+    cfg = cfg or QuadratureConfig()
     a = float(a)
     b = float(b)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):

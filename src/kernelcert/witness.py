@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as K
+from .certify import certify, check_strict_pd_numeric
 from .embedding import EnergyResult, energy_spatial, energy_spectral, mmd
 from .measures import (
     DiscreteSignedMeasure,
@@ -28,7 +29,6 @@ from .measures import (
     construct,
     measure_to_json,
     normalize_to_pq,
-    sinc_sq_spectrum,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -80,12 +80,8 @@ def torus_zero_energy_witness(k, grid_size, n0=None, alpha=1.0) -> Witness:
 
 
 def bandlimited_zero_energy_witness(k) -> Witness:
-    """Modulated sinc-squared density spectrally disjoint from a box kernel.
-
-    The modulation frequency is the kernel's spectral edge plus the band
-    half-width plus a safety margin of one, so the supports stay strictly
-    disjoint however the half-width was derived.
-    """
+    """Modulated sinc-squared density spectrally disjoint from a box kernel,
+    at the modulation frequency its ``c0_universal`` certificate names."""
     if K.kernel_class(k) != "a1":
         raise WitnessError("band-limited witnesses require a translation-invariant kernel")
     if k.space.dim != 1:
@@ -93,17 +89,13 @@ def bandlimited_zero_energy_witness(k) -> Witness:
     spec = K.spectral(k)
     if spec.support.kind != "box":
         raise WitnessError(f"{k.family} has a full spectral support")
-    w_half, _ = sinc_sq_spectrum()
-    omega0 = spec.support.half_width + w_half + 1.0
-    mu = ModulatedSincSq(1.0, omega0)
+    mu = ModulatedSincSq(1.0, certify(k, "c0_universal").witness_ref["omega0"])
     energy = energy_spectral(k, mu)
     return Witness(mu, "c0_universal", energy, mu.l1_norm())
 
 
 def gram_null_witness(k, points) -> Witness:
     """Atomic measure from a numerical Gram null vector."""
-    from .certify import check_strict_pd_numeric
-
     probe = check_strict_pd_numeric(k, points)
     if not probe.fails_on_set:
         raise WitnessError("Gram matrix has no numerical null vector")

@@ -9,6 +9,7 @@ checked against them.
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy import integrate
 
@@ -130,6 +131,43 @@ def modsincsq_ft(alpha, omega0, omega):
     quadrature only."""
     return alpha * (sincsq_transform(abs(omega - omega0))
                     + sincsq_transform(abs(omega + omega0)))
+
+
+def band_energy(lam, alpha, omega0, w, peak, edge=None):
+    """2 int_0^edge |mu-hat|^2 lam, to 30 digits: the energy of the density
+    2 alpha cos(omega0 x) sin^2 x / x^2 under a kernel with spectral density
+    ``lam`` (an mpf function) supported on [-edge, edge], or the whole line
+    when ``edge`` is None.  mu-hat = alpha (T(x - omega0) + T(x + omega0)),
+    T the triangle of height ``peak`` on [-w, w]; (w, peak) are taken as
+    exact.  Quadrature runs piecewise between the kinks of mu-hat, each
+    piece cut in four, so every subinterval holds one smooth piece."""
+    with mp.workdps(30):
+        alpha, omega0, w, peak = (mp.mpf(v) for v in (alpha, omega0, w, peak))
+        top = omega0 + w if edge is None else min(omega0 + w, mp.mpf(edge))
+
+        def tri(t):
+            return peak * max(0, 1 - abs(t) / w)
+
+        def integrand(x):
+            f = alpha * (tri(x - omega0) + tri(x + omega0))
+            return f * f * lam(x)
+
+        kinks = sorted(x for x in {mp.mpf(0), omega0 - w, omega0, abs(omega0 - w), top}
+                       if 0 <= x <= top)
+        pts = [a + (b - a) * i / 4 for a, b in zip(kinks, kinks[1:]) for i in range(4)] + [top]
+        return 2 * mp.quad(integrand, pts)
+
+
+def modsincsq_l1_core(alpha, omega0, X=60):
+    """2 int_0^X |2 alpha cos(omega0 x) sin^2 x / x^2| dx to 20 digits,
+    piecewise between the zeros of cos(omega0 x) and of sin x."""
+    with mp.workdps(20):
+        alpha, omega0, X = mp.mpf(alpha), mp.mpf(omega0), mp.mpf(X)
+        cuts = {mp.mpf(0), X}
+        cuts |= {(n + mp.mpf(0.5)) * mp.pi / omega0 for n in range(int(X * omega0 / mp.pi) + 1)}
+        cuts |= {n * mp.pi for n in range(1, int(X / mp.pi) + 1)}
+        pts = sorted(c for c in cuts if c <= X)
+        return 2 * mp.quad(lambda x: abs(2 * alpha * mp.cos(omega0 * x)) * mp.sinc(x) ** 2, pts)
 
 
 def power_iteration_min_eig(G, iters=400, seed=3):

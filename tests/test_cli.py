@@ -216,6 +216,20 @@ class TestBadInput:
         rc, out, err = run(capsys, "kernel-spectrum", "--kernel", path)
         assert rc == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("density,kernel", [
+        ({"family": "modulated_sincsq", "alpha": 1.0, "omega0": math.inf}, "sinc"),
+        ({"family": "modulated_sincsq", "alpha": math.nan, "omega0": 4.0}, "sinc"),
+        ({"family": "torus_cosine", "alpha": math.inf, "n0": 2}, "poisson_torus"),
+        ({"family": "torus_cosine", "alpha": 1.0, "n0": math.inf}, "poisson_torus"),
+    ])
+    def test_non_finite_density_parameter(self, capsys, tmp_path, density, kernel):
+        kind = "torus" if kernel == "poisson_torus" else "euclidean"
+        path = write_measure(tmp_path, "m.json", {
+            "space": {"kind": kind, "dim": 1}, "density": density})
+        rc, out, err = run(capsys, "energy", "--kernel", str(ZOO / f"{kernel}.json"),
+                           "--measure", path, "--method", "spectral")
+        assert rc == 1 and out == "" and err.startswith("error: bad measure document")
+
     @pytest.mark.parametrize("family", ["dirichlet", "fejer"])
     def test_band_degree_beyond_the_limit(self, capsys, tmp_path, family):
         path = write_measure(tmp_path, "k.json", {

@@ -1,6 +1,8 @@
 import math
 import time
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kernelcert.embedding import UnsupportedCombinationError
 from kernelcert.measures import SpaceMismatchError
 
 from conftest import random_discrete, random_probability
+from oracles import band_energy
 
 PI = math.pi
 E1 = kc.euclidean(1)
@@ -59,6 +62,13 @@ class TestEnergySpatial:
         res = kc.energy_spatial(kc.poisson_torus(0.5), mu)
         assert abs(res.value - frozen["poisson_energy_two_antipodal"]["spatial"]) <= 1e-12
         assert abs(res.value - 16.0 / 3.0) <= 1e-12
+
+    def test_poisson_profile_near_one(self):
+        # 1 - 2 sigma cos d + sigma^2 cancels as sigma -> 1; the exact value
+        # is the 40-digit profile sum
+        mu = diracs(T1, (0.0, 1.0), (1.0, -0.5))
+        res = kc.energy_spatial(kc.poisson_torus(0.99995), mu)
+        assert abs(res.value - 49998.74989123566) <= res.error_bound
 
     def test_gaussian_expansion(self, frozen):
         mu = diracs(E1, (0.0, 1.0), (1.0, -1.0))
@@ -170,6 +180,67 @@ class TestEnergySpectral:
         with pytest.raises(ValueError, match="panels"):
             kc.energy_spectral(k, mu)
         assert time.perf_counter() - t0 < 1.0
+
+
+def _gauss_lam(sigma):
+    s = mp.mpf(sigma)
+    return lambda x: s / mp.sqrt(2 * mp.pi) * mp.exp(-s * s * x * x / 2)
+
+
+def _cauchy_lam(sigma):
+    s = mp.mpf(sigma)
+    return lambda x: (s / mp.pi) / (s * s + x * x)
+
+
+W, PEAK = kc.sinc_sq_spectrum()
+
+# kernel, spectral density per axis typed from its definition, box edge
+BAND_KERNELS = {
+    "sinc-1": (kc.sinc(1.0), lambda x: mp.mpf(0.5), 1.0),
+    "sinc-2": (kc.sinc(2.0), lambda x: mp.mpf(0.5), 2.0),
+    "sinc_sq": (kc.sinc_sq(), lambda x: PEAK / (2 * mp.pi) * (1 - abs(x) / mp.mpf(W)), W),
+    "gaussian_ti-1": (kc.gaussian_ti(1.0), _gauss_lam(1.0), None),
+    "gaussian_ti-0.3": (kc.gaussian_ti(0.3), _gauss_lam(0.3), None),
+    "gaussian_ti-10": (kc.gaussian_ti(10.0), _gauss_lam(10.0), None),
+    "laplacian_ti-1": (kc.laplacian_ti(1.0), _cauchy_lam(1.0), None),
+    "laplacian_ti-0.05": (kc.laplacian_ti(0.05), _cauchy_lam(0.05), None),
+    "b1_spline": (kc.b1_spline(), lambda x: mp.sinc(x / 2) ** 2 / (2 * mp.pi), None),
+    # a box wider than the band: every energy is large, so the rounding of
+    # the nodes near w0 is what the bound must cover
+    "sinc-1e7": (kc.sinc(1e7), lambda x: mp.mpf(0.5), 1e7),
+}
+
+
+class TestBandEnergy:
+    """Energies of ModulatedSincSq against 30-digit values: every bound
+    holds with no slack, near the band, beyond the density's bulk and at
+    w0 up to 1e6, and nothing warns."""
+
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 3.0, 4.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("name", [n for n in BAND_KERNELS if n != "sinc-1e7"])
+    def test_within_the_bound(self, name, omega0):
+        self._check(name, omega0, 1.0)
+
+    @pytest.mark.parametrize("omega0", [3.0, 1e4, 987654.321])
+    def test_node_rounding_within_the_bound(self, omega0):
+        self._check("sinc-1e7", omega0, -2.5)
+
+    @staticmethod
+    def _check(name, omega0, alpha):
+        k, lam, edge = BAND_KERNELS[name]
+        exact = band_energy(lam, alpha, omega0, W, PEAK, edge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kc.energy_spectral(k, kc.ModulatedSincSq(alpha, omega0))
+        assert type(res.value) is float and type(res.error_bound) is float
+        assert abs(res.value - float(exact)) <= res.error_bound
+
+    def test_work_does_not_grow_with_the_frequency(self):
+        k = kc.laplacian_ti(1.0)
+        t0 = time.perf_counter()
+        res = kc.energy_spectral(k, kc.ModulatedSincSq(1.0, 1e15))
+        assert time.perf_counter() - t0 < 0.5
+        assert 0.0 < res.value <= res.error_bound
 
 
 class TestEmbedEval:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernelcert as kc
 from kernelcert.measures import ATOM_MERGE_TOL, InvalidMeasureError, SpaceMismatchError
-from oracles import greedy_merge
+from oracles import greedy_merge, modsincsq_l1_core
 
 
 PI = math.pi
@@ -327,6 +328,30 @@ class TestDensityFamilies:
             kc.TorusCosine(1.0, 0)
         with pytest.raises(InvalidMeasureError):
             kc.ModulatedSincSq(1.0, -2.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidMeasureError):
+                kc.TorusCosine(bad, 1)
+            with pytest.raises(InvalidMeasureError):
+                kc.ModulatedSincSq(bad, 4.0)
+            with pytest.raises(InvalidMeasureError):
+                kc.ModulatedSincSq(1.0, bad)
+
+    @pytest.mark.parametrize("omega0", [0.05, 3.5, 4.0, 5.0])
+    def test_l1_norm_is_the_core_of_a_bracket(self, omega0):
+        # beyond 60 the norm adds a tail in (0, 4 |alpha| / 60], so the
+        # norm lies in [value, value + 4 |alpha| / 60] when value is the core
+        alpha = -1.5
+        core = float(modsincsq_l1_core(alpha, omega0, 60))
+        assert abs(kc.ModulatedSincSq(alpha, omega0).l1_norm() - core) <= 1e-14 * core
+
+    def test_l1_norm_at_a_high_frequency(self):
+        # the window shrinks to keep within the panel limit; its lower end
+        # stays positive and below the window's bound 4 |alpha| X
+        t0 = time.perf_counter()
+        value = kc.ModulatedSincSq(1.0, 1e9).l1_norm()
+        assert time.perf_counter() - t0 < 1.0
+        window = kc.numerics.MAX_PANELS * math.pi / (1e9 + 1.0)
+        assert 0.0 < value <= 4.0 * window
 
 
 class TestJson:

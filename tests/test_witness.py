@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ class TestBandLimitedWitness:
     def test_full_spectrum_rejected(self):
         with pytest.raises(WitnessError):
             kc.bandlimited_zero_energy_witness(kc.gaussian_ti(1.0))
+
+    @pytest.mark.parametrize("k", [kc.sinc(1.0), kc.sinc_sq()], ids=["sinc", "sinc_sq"])
+    def test_builds_without_a_warning(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = kc.bandlimited_zero_energy_witness(k)
+        assert (w.energy.value, w.energy.error_bound) == (0.0, 1e-15)
+        assert w.measure.omega0 == kc.certify(k, "c0_universal").witness_ref["omega0"]
+        assert 3.97 < w.norm < 3.98
 
 
 class TestGramNullWitness:
