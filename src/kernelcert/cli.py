@@ -54,7 +54,7 @@ def _load_kernel(path):
 def _load_measure(path):
     try:
         return measures.measure_from_json(_load_json(path))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise DomainError(f"bad measure document {path}: {exc}")
 
 

@@ -252,7 +252,7 @@ class TorusCosine:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha != 0):
             raise InvalidMeasureError("alpha must be a finite nonzero number")
-        if not isinstance(self.n0, int) or self.n0 < 1:
+        if isinstance(self.n0, bool) or not isinstance(self.n0, int) or self.n0 < 1:
             raise InvalidMeasureError("n0 must be a positive integer")
         if self.space != torus(1):
             raise SpaceMismatchError("TorusCosine lives on the 1-d torus")
@@ -420,7 +420,7 @@ def measure_from_json(doc):
     family = dens.get("family")
     if family == "torus_cosine":
         _require_fields(dens, {"family", "alpha", "n0"}, "density")
-        return TorusCosine(float(dens["alpha"]), int(dens["n0"]), space)
+        return TorusCosine(float(dens["alpha"]), dens["n0"], space)
     if family == "modulated_sincsq":
         _require_fields(dens, {"family", "alpha", "omega0"}, "density")
         return ModulatedSincSq(float(dens["alpha"]), float(dens["omega0"]), space)

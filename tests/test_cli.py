@@ -221,6 +221,7 @@ class TestBadInput:
         ({"family": "modulated_sincsq", "alpha": math.nan, "omega0": 4.0}, "sinc"),
         ({"family": "torus_cosine", "alpha": math.inf, "n0": 2}, "poisson_torus"),
         ({"family": "torus_cosine", "alpha": 1.0, "n0": math.inf}, "poisson_torus"),
+        ({"family": "torus_cosine", "alpha": 1.0, "n0": 3.7}, "poisson_torus"),
     ])
     def test_non_finite_density_parameter(self, capsys, tmp_path, density, kernel):
         kind = "torus" if kernel == "poisson_torus" else "euclidean"
