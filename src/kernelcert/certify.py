@@ -3,9 +3,9 @@
 Each verdict is produced by a named decision rule that inspects only the
 kernel's exact spectral descriptors (support of the density, positivity of
 coefficients, mass of the mixing measure, positivity of series
-coefficients), never samples.  Numeric Gram probes exist as independent
-cross-checks: they can refute strict positive definiteness on a concrete
-point set but never prove it globally.
+coefficients), never samples.  Numeric Gram probes are diagnostics: they
+never prove strict positive definiteness, and on ill-conditioned point sets
+they can read a kernel certified ``strictly_pd`` as singular.
 
 Properties:
 
@@ -94,7 +94,8 @@ def _pair_ref(inner):
 
 
 def certify(k: KernelDescriptor, prop: str) -> Certificate:
-    """Decide a property of a zoo kernel from its spectral metadata."""
+    """Decide a property of a zoo kernel from its spectral metadata.  Each
+    ``fails`` names a closed-form witness; no Gram probe is consulted."""
     if prop not in PROPERTIES:
         raise UnsupportedPropertyError(f"unknown property {prop!r}")
     if prop == "c_universal" and not k.space.is_torus:
@@ -238,18 +239,21 @@ def _distinct_points(points, space):
     return P
 
 
-def check_strict_pd_numeric(k, points) -> GramProbe:
-    """Minimum Gram eigenvalue on a distinct point set.
-
-    ``fails_on_set`` means a numerical null vector exists, refuting strict
-    positive definiteness; the probe can never prove it globally.
-    """
-    P = _distinct_points(points, k.space)
-    G = K.gram(k, P)
-    w, V = np.linalg.eigh(G)
+def _least_eigenpair(G, Q):
+    """The least eigenpair of Q^T G Q against the threshold RANK_TOL trace(G)."""
+    w, V = np.linalg.eigh(Q.T @ G @ Q)
     thr = RANK_TOL * max(np.trace(G), 1e-300)
     fails = bool(w[0] < thr)
-    return GramProbe(float(w[0]), float(thr), fails, V[:, 0] if fails else None)
+    return GramProbe(float(w[0]), float(thr), fails, Q @ V[:, 0] if fails else None)
+
+
+def check_strict_pd_numeric(k, points) -> GramProbe:
+    """Minimum Gram eigenvalue on a distinct point set.  ``fails_on_set``
+    means it is below RANK_TOL trace(G): a numerical null vector, or the
+    ill-conditioned Gram matrix of a strictly PD kernel, which
+    ``witness.gram_null_witness`` refuses.  It never proves strict PD."""
+    P = _distinct_points(points, k.space)
+    return _least_eigenpair(K.gram(k, P), np.eye(len(P)))
 
 
 def check_cond_strict_pd_numeric(k, points) -> GramProbe:
@@ -258,15 +262,9 @@ def check_cond_strict_pd_numeric(k, points) -> GramProbe:
     n = P.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    G = K.gram(k, P)
     # orthonormal basis of the zero-sum subspace
     Q, _ = np.linalg.qr(np.eye(n) - np.full((n, n), 1.0 / n))
-    Q = Q[:, : n - 1]
-    w, V = np.linalg.eigh(Q.T @ G @ Q)
-    thr = RANK_TOL * max(np.trace(G), 1e-300)
-    fails = bool(w[0] < thr)
-    null = Q @ V[:, 0] if fails else None
-    return GramProbe(float(w[0]), float(thr), fails, null)
+    return _least_eigenpair(K.gram(k, P), Q[:, : n - 1])
 
 
 # ---------------------------------------------------------------------------

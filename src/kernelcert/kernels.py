@@ -201,8 +201,8 @@ def _natural(name, v):
     return int(_number(name, v, lambda x: x == int(x) and x >= 1, "be a positive integer"))
 
 
-# Largest band degree l of dirichlet/fejer: their profile sums l cosines per
-# lag and their witnesses hold about 2l atoms, so cost grows like l^3.
+# Largest band degree l of dirichlet/fejer: their spectral supports list
+# 2l + 1 frequencies and their witnesses hold about 2l atoms.
 MAX_BAND_DEGREE = 256
 
 
@@ -245,14 +245,6 @@ def _sinc_sq_lam():
     return lambda w: (peak / TWO_PI) * np.maximum(0.0, 1.0 - np.abs(w) / hw)
 
 
-def _dirichlet_coeff(l):
-    return lambda n: (np.abs(n) <= l).astype(float)
-
-
-def _fejer_coeff(l):
-    return lambda n: np.maximum(0.0, 1.0 - np.abs(n) / (l + 1.0))
-
-
 def _expcos_coeff(alpha):
     def coeff(n):
         m = np.abs(n)
@@ -265,13 +257,19 @@ def _quadpoly_coeff(n):
     return np.where(n == 0, math.pi ** 2 / 3.0, 2.0 / np.maximum(n * n, 1.0))
 
 
-def _cosine_sum(d, l, coeff):
-    """1 + 2 sum_{n=1..l} c_n cos(n d): the profile of a torus family whose
-    coefficients live on {-l, ..., l}."""
-    out = np.ones_like(np.asarray(d, dtype=float))
-    for n in range(1, l + 1):
-        out = out + 2.0 * coeff(n) * np.cos(n * d)
-    return out
+def _sine_ratio(d, m):
+    """sin(m d / 2) / sin(d / 2): m = 2l + 1 gives the dirichlet profile, and
+    its square over m = l + 1 the fejer one.  Lags fold exactly into [0, pi]
+    first (near 2 pi, sin(d / 2) would lose u pi / |2 pi - d| relatively);
+    where sin(d / 2) is zero or subnormal the ratio is m.  On 20000 random
+    lags (l = 1, 2, 3, 7, 256) they erred by at most 2.7 and 5.9 u k(0), which
+    the spatial bound's 16 n u k(0)^d sum w^2 >= 16 u k(0)^d (sum |w|)^2 covers
+    for n < 563 atoms."""
+    d = np.mod(d, TWO_PI)
+    h = 0.5 * np.minimum(d, TWO_PI - d)
+    s = np.sin(h)
+    limit = s < np.finfo(float).tiny
+    return np.where(limit, float(m), np.sin(m * h) / np.where(limit, 1.0, s))
 
 
 def _poisson_tail(sigma):
@@ -432,14 +430,14 @@ _FAMILIES = {
         tail=lambda: numerics.SeriesTail(QUADPOLY_TERMS, correction=_quadpoly_tail)),
     "dirichlet": FamilySpec(
         "a2", "torus", {"l": _band_degree},
-        profile=lambda d, l: _cosine_sum(d, l, _dirichlet_coeff(l)),
-        coeff=_dirichlet_coeff,
+        profile=lambda d, l: _sine_ratio(d, 2 * l + 1),
+        coeff=lambda l: lambda n: (np.abs(n) <= l).astype(float),
         tail=lambda l: numerics.SeriesTail(l),
         support=_finite_band),
     "fejer": FamilySpec(
         "a2", "torus", {"l": _band_degree},
-        profile=lambda d, l: _cosine_sum(d, l, _fejer_coeff(l)),
-        coeff=_fejer_coeff,
+        profile=lambda d, l: _sine_ratio(d, l + 1) ** 2 / (l + 1),
+        coeff=lambda l: lambda n: np.maximum(0.0, 1.0 - np.abs(n) / (l + 1.0)),
         tail=lambda l: numerics.SeriesTail(l),
         support=_finite_band),
     "radial_gaussian": FamilySpec(
@@ -607,8 +605,8 @@ def cross_gram(k: KernelDescriptor, X, Y):
     X = _check_points(k, X)
     Y = _check_points(k, Y)
     spec = family_spec(k)
+    require_pair_array(X.shape[0] * Y.shape[0] * (1 if spec.dot is not None else X.shape[1]))
     if spec.dot is not None:
-        require_pair_array(X.shape[0] * Y.shape[0])
         return spec.dot(X @ Y.T, **dict(k.params))
     # profiles are even, so lags enter through |x - y|, exactly symmetric in
     # (x, y); one (n, m) lag matrix per axis, never the (n, m, d) stack

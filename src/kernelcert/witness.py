@@ -8,9 +8,10 @@ refuted by a modulated sinc-squared density whose transform lives beyond
 the kernel's spectral box; discrete atoms cannot do this job because their
 transforms are almost periodic and never vanish on an interval, which is
 the computational face of the gap between compact-convergence and uniform
-universality.  Degenerate Gram matrices yield null-vector measures, and any
-zero-mass zero-energy witness normalizes into two distinct probability
-measures that the kernel cannot tell apart.
+universality.  Degenerate Gram matrices yield closed-form null vectors, and
+any zero-mass zero-energy witness normalizes into two distinct probability
+measures that the kernel cannot tell apart.  A :class:`Witness` whose
+energy exceeds its error bound is refused as it is built.
 """
 
 from __future__ import annotations
@@ -45,6 +46,21 @@ class Witness:
     energy: EnergyResult
     norm: float
 
+    def __post_init__(self):
+        e = self.energy
+        if abs(e.value) > e.error_bound:
+            raise WitnessError(f"witness energy {e.value:g} exceeds its bound {e.error_bound:g}")
+
+
+def _band_degree(k):
+    """Largest active frequency l of a band-limited torus kernel."""
+    if K.kernel_class(k) != "a2":
+        raise WitnessError("grid witnesses require a torus kernel")
+    spec = K.spectral(k)
+    if spec.support.kind != "finite_set":
+        raise WitnessError(f"{k.family} has no zero coefficient to exploit")
+    return max(spec.support.frequencies)
+
 
 def torus_zero_energy_witness(k, grid_size, n0=None, alpha=1.0) -> Witness:
     """Equispaced cosine grid measure with exactly zero energy.
@@ -53,17 +69,12 @@ def torus_zero_energy_witness(k, grid_size, n0=None, alpha=1.0) -> Witness:
     Its coefficients live on frequencies congruent to +-n0 mod m, so for
     m >= n0 + l + 1 they miss the kernel's active band {-l, ..., l} entirely.
     """
-    if K.kernel_class(k) != "a2":
-        raise WitnessError("grid witnesses require a torus kernel")
+    l = _band_degree(k)
     if k.space.dim != 1:
         raise WitnessError("grid witnesses are one dimensional")
-    spec = K.spectral(k)
-    if spec.support.kind != "finite_set":
-        raise WitnessError(f"{k.family} has no zero coefficient to exploit")
-    l = max(spec.support.frequencies)
     if n0 is None:
         n0 = l + 1
-    if spec.coeff(n0) != 0.0:
+    if K.spectral(k).coeff(n0) != 0.0:
         raise WitnessError(f"coefficient at {n0} is nonzero")
     m = int(grid_size)
     if m < n0 + l + 1:
@@ -95,7 +106,10 @@ def bandlimited_zero_energy_witness(k) -> Witness:
 
 
 def gram_null_witness(k, points) -> Witness:
-    """Atomic measure from a numerical Gram null vector."""
+    """Atomic measure from a numerical Gram null vector on given points; a kernel
+    certified ``strictly_pd`` is refused, as its probe reads only ill-conditioning."""
+    if certify(k, "strictly_pd").verdict == "holds":
+        raise WitnessError(f"{k.family} is certified strictly positive definite")
     probe = check_strict_pd_numeric(k, points)
     if not probe.fails_on_set:
         raise WitnessError("Gram matrix has no numerical null vector")
@@ -133,7 +147,9 @@ def witness_to_json(w: Witness):
 
 
 def construct_witness(k, ref, grid_size=None) -> Witness:
-    """Build the witness described by a certificate's witness reference."""
+    """Build the witness described by a certificate's witness reference,
+    in closed form: no eigensolver runs.  The Gram probes and
+    :func:`gram_null_witness` are diagnostics for caller-supplied points."""
     kind = ref.get("kind")
     if kind == "torus_zero_energy_grid":
         m = grid_size or ref.get("grid_size")
@@ -141,14 +157,16 @@ def construct_witness(k, ref, grid_size=None) -> Witness:
     if kind == "bandlimited_zero_energy":
         return bandlimited_zero_energy_witness(k)
     if kind == "gram_null":
-        pts = ref.get("points")
+        # unit null vectors: m points 2 pi j / m on axis 0 weighted cos((l + 1) x)
+        # alias to +-(l + 1) mod m, outside the band for m >= 2l + 2 (other axes
+        # scale the Gram by k_1(0)^(d-1)); (-1, +1) on two points, for a constant kernel
+        pts, w = ref.get("points"), np.array([-1.0, 1.0])
         if pts == "equispaced":
-            m = ref.get("count", 5)
-            # along the first axis: the per-axis product kernel scales the
-            # one-dimensional Gram matrix by k_1(0)^(d-1), keeping its null vector
-            pts = np.zeros((m, k.space.dim))
-            pts[:, 0] = TWO_PI * np.arange(m) / m
-        return gram_null_witness(k, pts)
+            pts = np.zeros((ref.get("count", 5), k.space.dim))
+            pts[:, 0] = TWO_PI * np.arange(len(pts)) / len(pts)
+            w = np.cos((_band_degree(k) + 1) * pts[:, 0])
+        mu = construct(k.space, list(zip(np.atleast_2d(pts), w / np.linalg.norm(w))))
+        return Witness(mu, "strictly_pd", energy_spatial(k, mu), mu.total_variation)
     if kind == "indistinguishable_pair":
         inner = construct_witness(k, ref["from"], grid_size=grid_size)
         P, Q, value = indistinguishable_pair(k, inner.measure)

@@ -82,6 +82,41 @@ def fejer_kernel(l):
         fejer_profile(l, (a - b) % (2 * math.pi)) for a, b in zip(x, y))
 
 
+def band_coefficient(family, l, n):
+    """Fourier coefficient c_n of the dirichlet or fejer kernel of degree l,
+    as an exact mpf."""
+    n = abs(n)
+    if n > l:
+        return mp.mpf(0)
+    return mp.mpf(1) if family == "dirichlet" else mp.mpf(l + 1 - n) / (l + 1)
+
+
+def band_profile_mp(family, l, t, dps=40):
+    """The band profile c_0 + 2 sum_{n=1..l} c_n cos(n t) at the float lag t,
+    to ``dps`` digits, summed term by term from the definition."""
+    with mp.workdps(dps + 10):
+        # cos((n + 1) t) = 2 cos t cos(n t) - cos((n - 1) t); ten guard
+        # digits cover its growth over l <= 256 steps
+        c1 = mp.cos(mp.mpf(t))
+        prev, cur, total = mp.mpf(1), c1, band_coefficient(family, l, 0)
+        for n in range(1, l + 1):
+            total += 2 * band_coefficient(family, l, n) * cur
+            prev, cur = cur, 2 * c1 * cur - prev
+        return +total
+
+
+def band_series_energy(family, l, atoms, dps=50):
+    """sum_{|n| <= l} c_n |sum_j w_j exp(-i n x_j)|^2: the energy of
+    one-dimensional atoms (x, w) under the dirichlet or fejer kernel, at the
+    float atoms exactly, to ``dps`` digits."""
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for n in range(-l, l + 1):
+            s = mp.fsum(mp.mpf(w) * mp.expj(-n * mp.mpf(x)) for x, w in atoms)
+            total += band_coefficient(family, l, n) * abs(s) ** 2
+        return total
+
+
 def poisson_energy_series(sigma):
     """Geometric series value of the two-antipodal-atoms energy."""
     return 8.0 * sigma / (1.0 - sigma ** 2)

@@ -1,11 +1,13 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 import kernelcert as kc
-from kernelcert.witness import WitnessError, construct_witness
+import oracles
+from kernelcert.witness import Witness, WitnessError, construct_witness
 
 PI = math.pi
 T1 = kc.torus(1)
@@ -168,3 +170,118 @@ def test_gram_null_witnesses_in_higher_dimension(family, l, dim):
         w = construct_witness(k, cert.witness_ref)
         assert w.norm > 0
         assert abs(w.energy.value) <= w.energy.error_bound
+
+
+class TestWitnessNeverOutlivesItsBound:
+    def test_every_construction_path_within_its_bound(self):
+        d2, f2 = kc.dirichlet(2), kc.fejer(2)
+        built = [
+            kc.torus_zero_energy_witness(d2, 8),
+            kc.bandlimited_zero_energy_witness(kc.sinc(1.0)),
+            construct_witness(d2, kc.certify(d2, "strictly_pd").witness_ref),
+            construct_witness(f2, kc.certify(f2, "characteristic").witness_ref),
+            construct_witness(kc.constant(1.0), kc.certify(kc.constant(1.0),
+                                                           "strictly_pd").witness_ref),
+        ]
+        for w in built:
+            assert abs(w.energy.value) <= w.energy.error_bound
+
+    def test_hand_written_count_that_aliases_is_refused(self):
+        # 5 = 2l + 1 points: cos(3 x) aliases to frequency -2, inside the band
+        ref = {"kind": "gram_null", "points": "equispaced", "count": 5}
+        with pytest.raises(WitnessError, match="exceeds its bound"):
+            construct_witness(kc.dirichlet(2), ref)
+        # 2l + 2 points keep +-(l + 1) outside the band
+        w = construct_witness(kc.dirichlet(2), dict(ref, count=6))
+        assert abs(w.energy.value) <= w.energy.error_bound
+
+    def test_direct_construction_is_refused(self):
+        mu = kc.construct(E1, [(0.0, 1.0), (1.0, -1.0)])
+        with pytest.raises(WitnessError, match="exceeds its bound"):
+            Witness(mu, "strictly_pd", kc.energy_spatial(kc.gaussian_ti(1.0), mu), 2.0)
+
+
+def _spaced(n, step):
+    return (step * np.arange(n))[:, None]
+
+
+# strictly positive definite kernels on ill-conditioned point sets, where the
+# Gram probe's least eigenvalue falls below its 1e-10 trace threshold
+ILL_CONDITIONED = [
+    (kc.radial_gaussian(1.0), _spaced(8, 0.1)),
+    (kc.inverse_multiquadric(1.0, 1.0), _spaced(12, 0.1)),
+    (kc.gaussian_ti(1.0), _spaced(8, 0.1)),
+    (kc.sinc(1.0), _spaced(8, 0.1)),
+    (kc.poisson_torus(0.5), _spaced(6, 0.01)),
+]
+
+
+@pytest.mark.parametrize("k,pts", ILL_CONDITIONED, ids=lambda v: getattr(v, "family", ""))
+def test_gram_null_witness_refuses_certified_strictly_pd_kernels(k, pts):
+    assert kc.certify(k, "strictly_pd").verdict == "holds"
+    with pytest.raises(WitnessError):
+        kc.gram_null_witness(k, pts)
+
+
+@pytest.mark.parametrize("k,pts", ILL_CONDITIONED[:2], ids=lambda v: getattr(v, "family", ""))
+def test_least_eigenvector_outlives_its_bound(k, pts):
+    # the least eigenvector's energy is the positive least eigenvalue, far
+    # above the round-off bound: 1.8e-12 against 6.7e-14, 3.7e-10 against 1.4e-13
+    v = np.linalg.eigh(kc.gram(k, pts))[1][:, 0]
+    mu = kc.construct(k.space, list(zip(pts, v)))
+    with pytest.raises(WitnessError, match="exceeds its bound"):
+        Witness(mu, "strictly_pd", kc.energy_spatial(k, mu), mu.total_variation)
+
+
+def _zoo_in_dimension(k, dim):
+    doc = kc.kernel_to_json(k)
+    doc["space"]["dim"] = dim
+    return kc.kernel_from_json(doc)
+
+
+def test_certify_witnesses_need_no_eigensolver(monkeypatch, zoo_kernels):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran on the certify path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    rejected = []
+    for family, k1 in zoo_kernels.items():
+        for dim in (1, 2, 3):
+            k = _zoo_in_dimension(k1, dim)
+            for cert in kc.certify_all(k):
+                if cert.verdict != "fails":
+                    continue
+                try:
+                    w = construct_witness(k, cert.witness_ref)
+                except WitnessError:
+                    rejected.append((family, dim, cert.property))
+                    continue
+                assert w.norm > 0
+                assert abs(w.energy.value) <= w.energy.error_bound
+    # grid and band-limited witnesses are one dimensional: dirichlet and
+    # fejer in four properties, sinc and sinc_sq in two, at d = 2 and 3
+    assert len(rejected) == 24
+    assert all(dim >= 2 for _, dim, _ in rejected)
+
+
+@pytest.mark.parametrize("family", ["dirichlet", "fejer"])
+def test_band_degree_256_certifies_with_every_witness_quickly(family):
+    k = kc.make_kernel(family, T1, l=256)
+    start = time.perf_counter()
+    built = [construct_witness(k, c.witness_ref) for c in kc.certify_all(k) if c.witness_ref]
+    assert time.perf_counter() - start < 2.0
+    assert len(built) == 6
+    for w in built:
+        assert abs(w.energy.value) <= w.energy.error_bound
+
+
+@pytest.mark.parametrize("family", ["dirichlet", "fejer"])
+@pytest.mark.parametrize("l", [1, 3, 40])
+def test_null_witness_true_energy_within_its_bound(family, l):
+    # the stored measure's energy from its Fourier series at 50 digits
+    k = kc.make_kernel(family, T1, l=l)
+    w = construct_witness(k, kc.certify(k, "strictly_pd").witness_ref)
+    assert w.measure.n_atoms == 2 * l + 3
+    atoms = list(zip(w.measure.points[:, 0], w.measure.weights))
+    truth = oracles.band_series_energy(family, l, atoms)
+    assert abs(truth - w.energy.value) <= w.energy.error_bound
