@@ -68,7 +68,6 @@ _CITATIONS = {
     "a1_integrable_strictly_pd": "an integrable strictly positive definite profile has a continuous spectral density with interior support points, which separates compactly supported measures",
     "a1_spectral_interior": "compactly supported measures have analytic transforms, which cannot vanish on the open interior of the spectral support",
     "a1_spectral_interior_spd": "a spectral support with interior points makes every Gram form on distinct points strictly positive",
-    "a1_empty_interior_open": "no decision is available: the spectral support has empty interior and the profile is not integrable",
     "a2_coefficients_positive": "every Fourier coefficient is strictly positive, so no nonzero measure is blind to the whole spectrum",
     "a2_coefficient_zero": "some Fourier coefficient vanishes; the matching cosine density has zero energy while being a nonzero measure",
     "a2_characteristic_coefficients": "positivity of all nonzero-frequency coefficients separates probability measures; the zero coefficient only controls constants",
@@ -104,10 +103,12 @@ def certify(k: KernelDescriptor, prop: str) -> Certificate:
 
 
 def _certify_a1(k, prop):
+    # An a1 profile is the transform of an integrable density, so it vanishes
+    # at infinity (Riemann-Lebesgue), and its support is the full space or a
+    # box, so it has interior points: characteristic, strictly_pd and
+    # cond_strictly_pd are decided for every a1 family.
     spec = K.spectral(k)
     full = spec.support.kind == "full_space"
-    family = K.family_spec(k)
-    in_c0, integrable = family.vanishes, family.integrable
     # a margin of one beyond edge plus half-width keeps the supports disjoint
     band_ref = None if full else {
         "kind": "bandlimited_zero_energy",
@@ -118,30 +119,21 @@ def _certify_a1(k, prop):
             return _cert(k, prop, HOLDS, "a1_support_full")
         return _cert(k, prop, FAILS, "a1_support_gap", witness=band_ref)
     if prop == "characteristic":
-        if not in_c0:
-            return _cert(k, prop, UNKNOWN, "a4_open")
         if full:
             return _cert(k, prop, HOLDS, "a1_characteristic_support")
         # the zero-mass band-limited density is the refutation artifact; its
         # normalized halves are indistinguishable probability densities
         return _cert(k, prop, FAILS, "a1_characteristic_support", witness=band_ref)
     if prop == "strictly_pd":
-        if spec.support.interior_nonempty:
-            return _cert(k, prop, HOLDS, "a1_spectral_interior_spd")
-        return _cert(k, prop, UNKNOWN, "a4_open")
+        return _cert(k, prop, HOLDS, "a1_spectral_interior_spd")
     if prop == "cc_universal":
         if full:
             return _cert(k, prop, HOLDS, "c0_implies_cc")
-        spd = _certify_a1(k, "strictly_pd")
-        if integrable and spd.verdict == HOLDS:
+        if K.family_spec(k).integrable:
             return _cert(k, prop, HOLDS, "a1_integrable_strictly_pd")
-        if spec.support.interior_nonempty:
-            return _cert(k, prop, HOLDS, "a1_spectral_interior")
-        return _cert(k, prop, UNKNOWN, "a1_empty_interior_open")
+        return _cert(k, prop, HOLDS, "a1_spectral_interior")
     # cond_strictly_pd
-    if _certify_a1(k, "strictly_pd").verdict == HOLDS:
-        return _cert(k, prop, HOLDS, "spd_implies_cspd")
-    return _cert(k, prop, UNKNOWN, "a4_open")
+    return _cert(k, prop, HOLDS, "spd_implies_cspd")
 
 
 def _certify_a2(k, prop):
@@ -281,7 +273,7 @@ class ImplicationGraph:
     def applicable(self, k):
         klass = kernel_class(k)
         in_scope = {"all": True, "compact": k.space.is_torus,
-                    "a1_c0": K.family_spec(k).vanishes, "a2": klass == "a2",
+                    "a1": klass == "a1", "a2": klass == "a2",
                     "a3": klass in ("a3", "constant")}
         return [(src, dst) for src, dst, scope in self.edges if in_scope.get(scope)]
 
@@ -302,8 +294,8 @@ def default_implication_graph() -> ImplicationGraph:
         ("c_universal", "cc_universal", "compact"),
         ("cc_universal", "c_universal", "compact"),
         ("cc_universal", "c0_universal", "compact"),
-        # translation-invariant profiles vanishing at infinity
-        ("characteristic", "c0_universal", "a1_c0"),
+        # translation-invariant profiles, which vanish at infinity
+        ("characteristic", "c0_universal", "a1"),
         # torus: separation of probabilities forces strict positivity
         ("characteristic", "strictly_pd", "a2"),
     ]
@@ -316,7 +308,7 @@ def default_implication_graph() -> ImplicationGraph:
     return ImplicationGraph(tuple(edges))
 
 
-def audit_implications(certs, graph: ImplicationGraph | None = None):
+def audit_implications(certs):
     """Check a kernel's certificate set against the implication graph.
 
     Returns the list of violated edges; ``unknown`` verdicts never violate.
@@ -327,10 +319,9 @@ def audit_implications(certs, graph: ImplicationGraph | None = None):
     kernel = certs[0].kernel
     if any(c.kernel != kernel for c in certs):
         raise ValueError("certificates describe different kernels")
-    graph = graph or default_implication_graph()
     verdicts = {c.property: c.verdict for c in certs}
     violations = []
-    for src, dst in graph.applicable(kernel):
+    for src, dst in default_implication_graph().applicable(kernel):
         if verdicts.get(src) == HOLDS and verdicts.get(dst) == FAILS:
             violations.append({"from": src, "to": dst, "kernel": kernel.family})
     return violations
@@ -338,10 +329,7 @@ def audit_implications(certs, graph: ImplicationGraph | None = None):
 
 def applicable_properties(k):
     """Properties certifiable on this kernel's space."""
-    props = [p for p in PROPERTIES if p != "c_universal"]
-    if k.space.is_torus:
-        props = list(PROPERTIES)
-    return props
+    return [p for p in PROPERTIES if p != "c_universal" or k.space.is_torus]
 
 
 def certify_all(k):

@@ -161,6 +161,10 @@ def cmd_energy(args):
     if "spatial" in doc and "spectral" in doc:
         doc["bounds"] = doc["spatial"]["error_bound"] + doc["spectral"]["error_bound"]
         doc["difference"] = abs(doc["spatial"]["value"] - doc["spectral"]["value"])
+        if doc["difference"] > doc["bounds"]:
+            raise InternalConsistencyError(
+                f"the spatial and spectral energies differ by {doc['difference']:g}, "
+                f"beyond their summed bounds {doc['bounds']:g}")
     _emit(doc, args.out)
     return 0
 

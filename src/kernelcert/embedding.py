@@ -36,7 +36,6 @@ from .numerics import InternalConsistencyError, _gl_grid, _halved, _segment_edge
 
 _EPS = np.finfo(float).eps
 
-SPECTRAL_DIM_LIMIT = 3  # tensorized quadrature target; spatial path is unlimited
 _SKIP_CAP = 1e-14  # largest energy a skipped mixture component can carry
 
 
@@ -205,22 +204,14 @@ def _constant_energy(k, mu):
                         64 * _EPS * c * scale * scale + 1e-300)
 
 
-def _require_quadrature_input(k, mu):
-    _require_discrete(mu)
-    _require_same_space(k, mu)
-    if k.space.dim > SPECTRAL_DIM_LIMIT:
-        raise UnsupportedCombinationError(
-            f"spectral quadrature supports d <= {SPECTRAL_DIM_LIMIT}"
-        )
-
-
 def _density_energy(k, mu):
     if isinstance(mu, ModulatedSincSq):
         if k.space.dim != 1:
             raise UnsupportedCombinationError("band-limited densities live on the line")
         value, bound = _band_density_energy(k, mu)
         return EnergyResult(value, "spectral_quadrature", bound)
-    _require_quadrature_input(k, mu)
+    _require_discrete(mu)
+    _require_same_space(k, mu)
     return _pairwise_energy(k, mu, "spectral_quadrature")
 
 
@@ -243,10 +234,15 @@ def _mixture_energy(k, mu):
     one whose cap m TV(mu)^2 is below ``_SKIP_CAP`` is skipped and its cap
     added to the bound.  A mixing density is discretized at 48 and 24 nodes;
     twice their difference bounds the discretization error."""
-    _require_quadrature_input(k, mu)
+    _require_discrete(mu)
+    _require_same_space(k, mu)
     if mu.is_zero:
         return EnergyResult(0.0, "spectral_quadrature", 0.0)
-    tv2 = mu.total_variation ** 2
+    try:
+        tv2 = mu.total_variation ** 2
+    except OverflowError:
+        raise UnsupportedCombinationError(
+            f"the total variation {mu.total_variation:g} overflows when squared") from None
     fine, exact = K.mixing_components(k, n_nodes=48)
     coarse = () if exact else K.mixing_components(k, n_nodes=24)[0]
     rates, masses = np.array(list(fine) + list(coarse), dtype=float).T
@@ -276,7 +272,7 @@ def energy_spectral(k, mu) -> EnergyResult:
     """Energy through the kernel's spectral representation.
 
     Translation-invariant kernels on R^d integrate |mu-hat|^2 against the
-    spectral density (d <= 3); torus kernels sum the coefficient series;
+    spectral density; torus kernels sum the coefficient series;
     radial kernels expand into Gaussian rate components and sum their
     spectral energies.  Agrees with :func:`energy_spatial` within the
     combined error bounds whenever both apply.

@@ -87,10 +87,6 @@ class SpectralSupport:
     half_width: float | None = None
     frequencies: tuple | None = None
 
-    @property
-    def interior_nonempty(self):
-        return self.kind in ("full_space", "box")
-
 
 @dataclass(frozen=True)
 class SpectralMeasure:
@@ -144,7 +140,7 @@ class FamilySpec:
     support), ``mixing`` the rate-mixing :class:`SpectralMeasure`
     (a3/constant), ``quadrature(n_nodes)`` the Gaussian components of a
     mixing density, and ``taylor`` the :class:`TaylorCoefficients` (a4).
-    ``vanishes`` and ``integrable`` describe an a1 profile at infinity.
+    ``integrable`` says whether an a1 profile is integrable.
 
     The spectral functions never call ``profile``, so the spectral route
     stays independent of the closed form.
@@ -160,7 +156,6 @@ class FamilySpec:
     tail: object = None
     coeff: object = None
     support: object = None
-    vanishes: bool = False
     integrable: bool = False
     mixing: object = None
     quadrature: object = None
@@ -351,10 +346,18 @@ def _imq_mixing(beta, c):
 
 
 def _imq_quadrature(n_nodes, beta, c):
-    """Generalized Gauss-Laguerre discretization of the Gamma-type mixing."""
+    """Generalized Gauss-Laguerre discretization of the Gamma-type mixing.
+    Raises where a rate or mass is not finite: the rule's weights overflow
+    from beta near 170, and c^(2 beta) can under- or overflow."""
     u, w = roots_genlaguerre(n_nodes, beta - 1.0)
-    scale = math.exp(-gammaln(beta)) / c ** (2.0 * beta)
-    return tuple((float(ui) / (c * c), float(wi) * scale) for ui, wi in zip(u, w))
+    with np.errstate(all="ignore"):
+        rates = u / (c * c)
+        masses = w * (math.exp(-gammaln(beta)) / np.float64(c) ** (2.0 * beta))
+    if not (np.isfinite(rates).all() and np.isfinite(masses).all()):
+        raise UnsupportedKernelOperation(
+            f"the mixing quadrature of inverse_multiquadric(beta={beta:g}, c={c:g}) "
+            "leaves the float range")
+    return tuple(zip(rates.tolist(), masses.tolist()))
 
 
 def _exp_tail(q, degree):
@@ -385,33 +388,32 @@ _FAMILIES = {
         profile=lambda d, sigma: np.exp(-d * d / (2.0 * sigma * sigma)),
         lam=lambda sigma: lambda w: (sigma / SQRT_2PI) * np.exp(-sigma * sigma * w * w / 2.0),
         tail=lambda sigma: numerics.GaussianTail(1.0 / sigma),
-        vanishes=True, integrable=True),
+        integrable=True),
     "laplacian_ti": FamilySpec(
         "a1", "euclidean", {"sigma": _positive},
         profile=lambda d, sigma: np.exp(-sigma * np.abs(d)),
         lam=lambda sigma: lambda w: (sigma / np.pi) / (sigma * sigma + w * w),
         tail=lambda sigma: numerics.CauchyTail(sigma),
-        vanishes=True, integrable=True),
+        integrable=True),
     "b1_spline": FamilySpec(
         "a1", "euclidean", {},
         profile=lambda d: np.maximum(0.0, 1.0 - np.abs(d)),
         lam=lambda: lambda w: (0.5 / np.pi) * np.sinc(w / TWO_PI) ** 2,
         tail=lambda: numerics.TriangleWaveTail(),
-        vanishes=True, integrable=True),
+        integrable=True),
     "sinc": FamilySpec(
         "a1", "euclidean", {"sigma": _positive},
         profile=lambda d, sigma: sigma * np.sinc(sigma * d / np.pi),
         lam=lambda sigma: lambda w: np.where(np.abs(w) <= sigma, 0.5, 0.0),
         tail=lambda sigma: numerics.BoxTail(sigma),
-        support=lambda sigma: _box(sigma),
-        vanishes=True, integrable=False),
+        support=lambda sigma: _box(sigma)),
     "sinc_sq": FamilySpec(
         "a1", "euclidean", {},
         profile=lambda d: np.sinc(d / np.pi) ** 2,
         lam=_sinc_sq_lam,
         tail=lambda: numerics.BoxTail(sinc_sq_spectrum()[0]),
         support=lambda: _box(sinc_sq_spectrum()[0]),
-        vanishes=True, integrable=True),
+        integrable=True),
     "poisson_torus": FamilySpec(
         "a2", "torus", {"sigma": _open_unit},
         profile=lambda d, sigma: ((1.0 - sigma) * (1.0 + sigma)

@@ -18,6 +18,8 @@ import numpy as np
 
 from .numerics import MAX_PANELS, QuadratureConfig, _gl_grid, cos_over_sq_tail, integrate_1d
 
+_L1_CHUNK = 4096  # panels of ModulatedSincSq.l1_norm per pass: 64K nodes
+
 TWO_PI = 2.0 * math.pi
 
 # Points closer than this in max-norm are the same atom.
@@ -295,12 +297,17 @@ class ModulatedSincSq:
         |density| on [0, X], panel edges at the zeros of cos(w0 x) (the only
         kinks of |density|) and of sin x; X = 60, or less where 60 would take
         over ``MAX_PANELS`` panels.  |density| <= 2 |alpha| / x^2 on both
-        sides, so the norm lies in [value, value + 4 |alpha| / X]."""
+        sides, so the norm lies in [value, value + 4 |alpha| / X].  Nodes
+        are laid ``_L1_CHUNK`` panels at a time."""
         X = min(60.0, MAX_PANELS * math.pi / (self.omega0 + 1.0))
         cos_zeros = np.arange(0.5, X * self.omega0 / math.pi) * (math.pi / self.omega0)
         sin_zeros = np.arange(1.0, X / math.pi) * math.pi
-        nodes, wts = _gl_grid(np.union1d(np.r_[0.0, cos_zeros, sin_zeros], X))
-        return 2.0 * float(wts @ np.abs(self.density(nodes)))
+        edges = np.union1d(np.r_[0.0, cos_zeros, sin_zeros], X)
+        total = 0.0
+        for start in range(0, edges.size - 1, _L1_CHUNK):
+            nodes, wts = _gl_grid(edges[start:start + _L1_CHUNK + 1])
+            total += float(wts @ np.abs(self.density(nodes)))
+        return 2.0 * total
 
 
 def _sinc_sq_plain_transform(omega):

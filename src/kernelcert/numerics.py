@@ -43,6 +43,8 @@ from scipy.optimize import linprog
 
 # Per-lag accuracy the spectral transforms aim their tail cutoffs at.
 SPECTRAL_TARGET = 1e-11
+# Largest constraint residual an LP solution may leave.
+LP_FEAS_TOL = 1e-9
 
 
 class QuadratureWarning(UserWarning):
@@ -118,12 +120,11 @@ def min_eig_sym(G):
     return float(w[0]), vec / np.linalg.norm(vec)
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
-             bounds=None, feas_tol=1e-9):
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds=None):
     """Minimize ``c @ x`` subject to ``A_ub x <= b_ub`` and ``A_eq x = b_eq``.
 
     Variables are free unless ``bounds`` is given.  The returned solution is
-    verified against the constraints to ``feas_tol``; infeasible and
+    verified against the constraints to ``LP_FEAS_TOL``; infeasible and
     unbounded programs raise dedicated errors.
     """
     c = np.asarray(c, dtype=float)
@@ -140,11 +141,11 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
     x = res.x
     if A_ub is not None:
         viol = np.max(np.asarray(A_ub) @ x - np.asarray(b_ub), initial=0.0)
-        if viol > feas_tol:
+        if viol > LP_FEAS_TOL:
             raise InternalConsistencyError(f"LP inequality residual {viol:g}")
     if A_eq is not None:
         viol = float(np.max(np.abs(np.asarray(A_eq) @ x - np.asarray(b_eq)), initial=0.0))
-        if viol > feas_tol:
+        if viol > LP_FEAS_TOL:
             raise InternalConsistencyError(f"LP equality residual {viol:g}")
     return float(res.fun), x
 

@@ -62,10 +62,10 @@ def _band_degree(k):
     return max(spec.support.frequencies)
 
 
-def torus_zero_energy_witness(k, grid_size, n0=None, alpha=1.0) -> Witness:
+def torus_zero_energy_witness(k, grid_size, n0=None) -> Witness:
     """Equispaced cosine grid measure with exactly zero energy.
 
-    Atoms sit at x_j = 2 pi j / m with weights (2 pi / m) 2 alpha cos(n0 x_j).
+    Atoms sit at x_j = 2 pi j / m with weights (2 pi / m) 2 cos(n0 x_j).
     Its coefficients live on frequencies congruent to +-n0 mod m, so for
     m >= n0 + l + 1 they miss the kernel's active band {-l, ..., l} entirely.
     """
@@ -81,10 +81,8 @@ def torus_zero_energy_witness(k, grid_size, n0=None, alpha=1.0) -> Witness:
         raise WitnessError(
             f"grid size {m} aliases into the active band; need m >= {n0 + l + 1}"
         )
-    if alpha == 0:
-        raise WitnessError("alpha must be nonzero")
     x = TWO_PI * np.arange(m) / m
-    w = (TWO_PI / m) * 2.0 * alpha * np.cos(n0 * x)
+    w = (TWO_PI / m) * 2.0 * np.cos(n0 * x)
     mu = construct(k.space, list(zip(x[:, None], w)))
     energy = energy_spatial(k, mu)
     return Witness(mu, "c_universal", energy, mu.total_variation)

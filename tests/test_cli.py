@@ -60,6 +60,18 @@ class TestEnergyVerb:
                            "--measure", far, "--method", "both")
         assert rc == 1 and out == "" and "panels" in err
 
+    def test_routes_that_disagree_exit_1(self, capsys, tmp_path):
+        kernel = write_measure(tmp_path, "k.json", {
+            "family": "inverse_multiquadric", "space": {"kind": "euclidean", "dim": 1},
+            "params": {"beta": 1.0, "c": 0.03}})
+        measure = write_measure(tmp_path, "m.json", {
+            "space": {"kind": "euclidean", "dim": 1},
+            "atoms": [{"x": [0.0], "w": 1.0}, {"x": [3.3], "w": 0.5}, {"x": [1.0], "w": -1.0}]})
+        rc, out, err = run(capsys, "energy", "--kernel", kernel, "--measure", measure,
+                           "--method", "both")
+        assert rc == 1 and out == "" and err.startswith("error:")
+        assert "beyond their summed bounds" in err
+
     def test_unsupported_combination_is_domain_error(self, capsys, antipodal):
         rc, _, err = run(capsys, "energy", "--kernel", str(ZOO / "gaussian_ti.json"),
                          "--measure", antipodal)
@@ -283,6 +295,24 @@ class TestBadInput:
             rc, out, err = run(capsys, "energy", "--kernel", str(ZOO / "gaussian_ti.json"),
                                "--measure", path, "--method", "spatial")
         assert rc == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("family,params,weight,cause", [
+        ("inverse_multiquadric", {"beta": 1e300, "c": 1e-300}, 1.0, "float range"),
+        ("inverse_multiquadric", {"beta": 200.0, "c": 1.0}, 1.0, "float range"),
+        ("radial_gaussian", {"sigma": 1.0}, 1e300, "total variation"),
+    ])
+    def test_arithmetic_beyond_the_float_range(self, capsys, tmp_path, family, params,
+                                               weight, cause):
+        kernel = write_measure(tmp_path, "k.json", {
+            "family": family, "space": {"kind": "euclidean", "dim": 1}, "params": params})
+        measure = write_measure(tmp_path, "m.json", {
+            "space": {"kind": "euclidean", "dim": 1},
+            "atoms": [{"x": [0.0], "w": weight}, {"x": [1.0], "w": -weight}]})
+        with np.errstate(all="ignore"):
+            rc, out, err = run(capsys, "energy", "--kernel", kernel, "--measure", measure,
+                               "--method", "both")
+        assert rc == 1 and out == "" and err.startswith("error:")
+        assert cause in err
 
     def test_non_finite_witness_is_not_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(kc.witness, "witness_to_json", lambda w: {"energy": math.nan})

@@ -87,8 +87,8 @@ def test_cli_output_matches_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     got = capture(tmp_path)
     assert sorted(got) == sorted(golden)
-    for key, want in golden.items():
-        assert got[key] == want, key
+    moved = [key for key, want in golden.items() if got[key] != want]
+    assert not moved, f"{len(moved)} entries differ from {GOLDEN.name}: {moved}"
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,24 @@ class TestDensityFamilies:
         assert time.perf_counter() - t0 < 1.0
         window = kc.numerics.MAX_PANELS * math.pi / (1e9 + 1.0)
         assert 0.0 < value <= 4.0 * window
+
+    @pytest.mark.parametrize("omega0,value", [(4.0, 3.978678538434856),
+                                              (1e5 + 3, 3.8509477577583584),
+                                              (1e9, 0.002097151838658413)])
+    def test_l1_norm_values_of_the_unchunked_sum(self, omega0, value):
+        # values of the sum over all 2^18 panels at once, before chunking
+        got = kc.ModulatedSincSq(1.0, omega0).l1_norm()
+        assert abs(got - value) <= 1e-14 * value
+
+    def test_l1_norm_memory_at_a_high_frequency(self):
+        kc.sinc_sq_spectrum()  # derived once and cached, outside the trace
+        tracemalloc.start()
+        try:
+            kc.ModulatedSincSq(1.0, 1e9).l1_norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestJson:
