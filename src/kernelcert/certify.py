@@ -1,11 +1,12 @@
 """Certification of kernel separation properties from spectral metadata.
 
-Each verdict is produced by a named decision rule that inspects only the
-kernel's exact spectral descriptors (support of the density, positivity of
-coefficients, mass of the mixing measure, positivity of series
-coefficients), never samples.  Numeric Gram probes are diagnostics: they
-never prove strict positive definiteness, and on ill-conditioned point sets
-they can read a kernel certified ``strictly_pd`` as singular.
+Each kernel class has one deciding fact, read from its exact spectral
+descriptors: full support of the spectral density (a1), positive Fourier
+coefficients (a2), mixing mass away from rate zero (a3, constant) or
+positive Taylor coefficients (a4).  The rule table has one row per class
+and property, and the fact picks the row's outcome: a new property or
+metadata source adds rows, not branches.  ``tests/test_certify.py`` checks
+every row at both values of its fact against the implication graph.
 
 Properties:
 
@@ -22,12 +23,13 @@ cases the theory leaves open and never participates in a violation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels as K
-from .kernels import KernelDescriptor, kernel_class
+from .kernels import KernelDescriptor, kernel_class, kernel_to_json
 from .measures import sinc_sq_spectrum
 
 PROPERTIES = (
@@ -83,130 +85,90 @@ _CITATIONS = {
 }
 
 
-def _cert(k, prop, verdict, rule, witness=None, details=None):
-    return Certificate(k, prop, verdict, rule, _CITATIONS[rule],
-                       witness_ref=witness, details=details or {})
+# ``holds`` is the rule when the class's fact holds (None: the fact does not matter)
+_Row = namedtuple("_Row", "holds verdict rule witness details", defaults=(None, False))
+
+_A1 = {  # fact: the spectral support is the whole frequency space
+    # a1 profiles vanish at infinity (Riemann-Lebesgue); a1 supports have interior points
+    "c0_universal": _Row("a1_support_full", FAILS, "a1_support_gap", "band"),
+    # the band-limited witness's normalized halves are indistinguishable
+    "characteristic": _Row("a1_characteristic_support", FAILS,
+                           "a1_characteristic_support", "band"),
+    "cc_universal": _Row("c0_implies_cc", HOLDS, "interior"),
+    "strictly_pd": _Row(None, HOLDS, "a1_spectral_interior_spd"),
+    "cond_strictly_pd": _Row(None, HOLDS, "spd_implies_cspd"),
+}
+_A2 = {  # fact: every Fourier coefficient is positive
+    "c_universal": _Row("a2_coefficients_positive", FAILS, "a2_coefficient_zero", "grid", True),
+    "c0_universal": _Row("compact_equivalence", FAILS, "compact_equivalence", "grid", True),
+    "cc_universal": _Row("compact_equivalence", FAILS, "compact_equivalence", "grid", True),
+    "characteristic": _Row("a2_characteristic_coefficients", FAILS,
+                           "a2_characteristic_coefficients", "pair", True),
+    "strictly_pd": _Row("universal_implies_spd", FAILS, "a2_finite_spectrum_rank", "null"),
+    "cond_strictly_pd": _Row("spd_implies_cspd", FAILS, "a2_finite_spectrum_rank", "null"),
+}
+_A3 = {  # fact: mixing mass away from rate zero (c_universal: the constant kernel on a torus)
+    "c_universal": _Row("a3_mixing_support", FAILS, "a3_only_zero_mass", "null"),
+    "c0_universal": _Row("a3_mixing_support", FAILS, "a3_only_zero_mass", "null"),
+    "cc_universal": _Row("a3_equivalence", FAILS, "a3_only_zero_mass", "null"),
+    "characteristic": _Row("a3_equivalence", FAILS, "a3_only_zero_mass", "pair"),
+    "strictly_pd": _Row("a3_equivalence", FAILS, "a3_only_zero_mass", "null"),
+    "cond_strictly_pd": _Row("spd_implies_cspd", FAILS, "a3_only_zero_mass", "null"),
+}
+_A4 = {  # fact: every power-series coefficient is positive
+    "c0_universal": _Row(None, UNKNOWN, "a4_open"),
+    "cc_universal": _Row("a4_coefficients_positive", UNKNOWN, "a4_open"),
+    "characteristic": _Row(None, UNKNOWN, "a4_open"),
+    "strictly_pd": _Row("universal_implies_spd", UNKNOWN, "a4_open"),
+    "cond_strictly_pd": _Row("spd_implies_cspd", UNKNOWN, "a4_open"),
+}
+_TABLE = {"a1": _A1, "a2": _A2, "a3": _A3, "constant": _A3, "a4": _A4}
 
 
-def _pair_ref(inner):
-    return {"kind": "indistinguishable_pair", "from": inner}
+def _facts(k):
+    """The class's deciding fact, the names its rows refer to, and details."""
+    klass = kernel_class(k)
+    if klass == "a4":
+        coeffs = K.taylor_coefficients(k)
+        return all(coeffs.a(n) > 0 for n in range(64)), {}, {}
+    spec = K.spectral(k)
+    if klass == "a1":
+        if spec.support.kind == "full_space":
+            return True, {}, {}
+        # a margin of one beyond edge plus half-width keeps the supports disjoint
+        band = {"kind": "bandlimited_zero_energy",
+                "omega0": spec.support.half_width + sinc_sq_spectrum()[0] + 1.0}
+        interior = ("a1_integrable_strictly_pd" if K.family_spec(k).integrable
+                    else "a1_spectral_interior")
+        return False, {"band": band, "interior": interior}, {}
+    if klass == "a2":
+        details = {"coefficient_at_zero": spec.coeff(0)}
+        if spec.support.kind == "all_integers":
+            return True, {}, details
+        l = max(spec.support.frequencies)
+        grid = {"kind": "torus_zero_energy_grid", "n0": l + 1, "grid_size": 2 * (l + 1)}
+        null = {"kind": "gram_null", "points": "equispaced", "count": 2 * l + 3}
+        pair = {"kind": "indistinguishable_pair", "from": grid}
+        return False, {"grid": grid, "null": null, "pair": pair}, details
+    null = {"kind": "gram_null", "points": [[0.0] * k.space.dim, [1.0] * k.space.dim]}
+    pair = {"kind": "indistinguishable_pair", "from": null}
+    return not spec.supp_is_only_zero, {"null": null, "pair": pair}, {}
 
 
 def certify(k: KernelDescriptor, prop: str) -> Certificate:
-    """Decide a property of a zoo kernel from its spectral metadata.  Each
-    ``fails`` names a closed-form witness; no Gram probe is consulted."""
+    """Decide a property of a zoo kernel from its row of the rule table.
+    Each ``fails`` names a closed-form witness; no Gram probe is consulted."""
     if prop not in PROPERTIES:
         raise UnsupportedPropertyError(f"unknown property {prop!r}")
     if prop == "c_universal" and not k.space.is_torus:
         raise UnsupportedPropertyError("c_universal needs a compact space")
-    return _RULES[kernel_class(k)](k, prop)
-
-
-def _certify_a1(k, prop):
-    # An a1 profile is the transform of an integrable density, so it vanishes
-    # at infinity (Riemann-Lebesgue), and its support is the full space or a
-    # box, so it has interior points: characteristic, strictly_pd and
-    # cond_strictly_pd are decided for every a1 family.
-    spec = K.spectral(k)
-    full = spec.support.kind == "full_space"
-    # a margin of one beyond edge plus half-width keeps the supports disjoint
-    band_ref = None if full else {
-        "kind": "bandlimited_zero_energy",
-        "omega0": spec.support.half_width + sinc_sq_spectrum()[0] + 1.0,
-    }
-    if prop == "c0_universal":
-        if full:
-            return _cert(k, prop, HOLDS, "a1_support_full")
-        return _cert(k, prop, FAILS, "a1_support_gap", witness=band_ref)
-    if prop == "characteristic":
-        if full:
-            return _cert(k, prop, HOLDS, "a1_characteristic_support")
-        # the zero-mass band-limited density is the refutation artifact; its
-        # normalized halves are indistinguishable probability densities
-        return _cert(k, prop, FAILS, "a1_characteristic_support", witness=band_ref)
-    if prop == "strictly_pd":
-        return _cert(k, prop, HOLDS, "a1_spectral_interior_spd")
-    if prop == "cc_universal":
-        if full:
-            return _cert(k, prop, HOLDS, "c0_implies_cc")
-        if K.family_spec(k).integrable:
-            return _cert(k, prop, HOLDS, "a1_integrable_strictly_pd")
-        return _cert(k, prop, HOLDS, "a1_spectral_interior")
-    # cond_strictly_pd
-    return _cert(k, prop, HOLDS, "spd_implies_cspd")
-
-
-def _certify_a2(k, prop):
-    spec = K.spectral(k)
-    positive = spec.support.kind == "all_integers"
-    coeff0 = spec.coeff(0)
-    grid_ref = null_ref = None
-    if not positive:
-        l = max(spec.support.frequencies)
-        grid_ref = {"kind": "torus_zero_energy_grid", "n0": l + 1, "grid_size": 2 * (l + 1)}
-        null_ref = {"kind": "gram_null", "points": "equispaced", "count": 2 * l + 3}
-    if prop in ("c_universal", "c0_universal", "cc_universal"):
-        if positive:
-            base = _cert(k, "c_universal", HOLDS, "a2_coefficients_positive",
-                         details={"coefficient_at_zero": coeff0})
-        else:
-            base = _cert(k, "c_universal", FAILS, "a2_coefficient_zero",
-                         witness=grid_ref,
-                         details={"coefficient_at_zero": coeff0})
-        if prop == "c_universal":
-            return base
-        return Certificate(k, prop, base.verdict, "compact_equivalence",
-                           _CITATIONS["compact_equivalence"],
-                           witness_ref=base.witness_ref, details=base.details)
-    if prop == "characteristic":
-        if positive:
-            return _cert(k, prop, HOLDS, "a2_characteristic_coefficients",
-                         details={"coefficient_at_zero": coeff0})
-        return _cert(k, prop, FAILS, "a2_characteristic_coefficients",
-                     witness=_pair_ref(grid_ref),
-                     details={"coefficient_at_zero": coeff0})
-    # strictly_pd and cond_strictly_pd
-    if positive:
-        rule = "universal_implies_spd" if prop == "strictly_pd" else "spd_implies_cspd"
-        return _cert(k, prop, HOLDS, rule)
-    return _cert(k, prop, FAILS, "a2_finite_spectrum_rank", witness=null_ref)
-
-
-def _certify_a3(k, prop):
-    spec = K.spectral(k)
-    degenerate = bool(spec.supp_is_only_zero)
-    null_ref = {"kind": "gram_null", "points": [[0.0] * k.space.dim, [1.0] * k.space.dim]}
-    if prop == "c_universal":
-        # reachable only for the constant kernel placed on a torus
-        if degenerate:
-            return _cert(k, prop, FAILS, "a3_only_zero_mass", witness=null_ref)
-        return _cert(k, prop, HOLDS, "a3_mixing_support")
-    if prop in ("c0_universal", "cc_universal", "strictly_pd", "characteristic"):
-        if not degenerate:
-            rule = "a3_mixing_support" if prop == "c0_universal" else "a3_equivalence"
-            return _cert(k, prop, HOLDS, rule)
-        witness = _pair_ref(null_ref) if prop == "characteristic" else null_ref
-        return _cert(k, prop, FAILS, "a3_only_zero_mass", witness=witness)
-    # cond_strictly_pd
-    if not degenerate:
-        return _cert(k, prop, HOLDS, "spd_implies_cspd")
-    return _cert(k, prop, FAILS, "a3_only_zero_mass", witness=null_ref)
-
-
-def _certify_a4(k, prop):
-    coeffs = K.taylor_coefficients(k)
-    positive = all(coeffs.a(n) > 0 for n in range(64))
-    rules = {"cc_universal": "a4_coefficients_positive",
-             "strictly_pd": "universal_implies_spd", "cond_strictly_pd": "spd_implies_cspd"}
-    if positive and prop in rules:
-        return _cert(k, prop, HOLDS, rules[prop])
-    # c0-universality and the characteristic property on the open domain
-    # ball are not settled by the series criterion
-    return _cert(k, prop, UNKNOWN, "a4_open")
-
-
-_RULES = {"a1": _certify_a1, "a2": _certify_a2, "a3": _certify_a3,
-          "constant": _certify_a3, "a4": _certify_a4}
+    fact, names, details = _facts(k)
+    holds, verdict, rule, witness, with_details = _TABLE[kernel_class(k)][prop]
+    if fact and holds:
+        verdict, rule, witness = HOLDS, holds, None
+    rule = names.get(rule, rule)
+    return Certificate(k, prop, verdict, rule, _CITATIONS[rule], witness_ref=names.get(witness),
+                       details=details if with_details else {})
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +299,6 @@ def certify_all(k):
 
 
 def certificate_to_json(cert: Certificate):
-    from .kernels import kernel_to_json
-
     doc = {
         "kernel": kernel_to_json(cert.kernel),
         "property": cert.property,

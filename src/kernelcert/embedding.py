@@ -71,6 +71,15 @@ def _require_same_space(k, mu):
         )
 
 
+def _require_finite(mu, *values):
+    """Refuse a double sum that left the float range: an infinite kernel
+    value or weights too large for their products."""
+    if not all(map(math.isfinite, values)):
+        raise UnsupportedCombinationError(
+            f"the spatial double sum over a measure of total variation "
+            f"{mu.total_variation:g} overflows the float range")
+
+
 def inner(k, mu, nu):
     """RKHS inner product of two embedded discrete measures."""
     _require_discrete(mu)
@@ -79,8 +88,10 @@ def inner(k, mu, nu):
     _require_same_space(k, nu)
     if mu.is_zero or nu.is_zero:
         return 0.0
-    G = K.cross_gram(k, mu.points, nu.points)
-    return float(mu.weights @ G @ nu.weights)
+    with np.errstate(all="ignore"):
+        value = float(mu.weights @ K.cross_gram(k, mu.points, nu.points) @ nu.weights)
+    _require_finite(mu, value)
+    return value
 
 
 def energy_spatial(k, mu) -> EnergyResult:
@@ -89,10 +100,12 @@ def energy_spatial(k, mu) -> EnergyResult:
     _require_same_space(k, mu)
     if mu.is_zero:
         return EnergyResult(0.0, "spatial_exact", 0.0)
-    G = K.cross_gram(k, mu.points, mu.points)
-    value = float(mu.weights @ G @ mu.weights)
-    absmass = float(np.abs(mu.weights) @ np.abs(G) @ np.abs(mu.weights))
+    with np.errstate(all="ignore"):
+        G = K.cross_gram(k, mu.points, mu.points)
+        value = float(mu.weights @ G @ mu.weights)
+        absmass = float(np.abs(mu.weights) @ np.abs(G) @ np.abs(mu.weights))
     bound = min(8 * mu.n_atoms, 4500) * _EPS * absmass
+    _require_finite(mu, value, bound)
     if value < -bound:
         raise InternalConsistencyError(
             f"spatial energy {value:g} below round-off floor {-bound:g}"

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from kernelcert import Certificate
 from kernelcert.certify import FAILS, HOLDS, UNKNOWN, UnsupportedPropertyError
 
 PI = math.pi
+
+certify_mod = importlib.import_module("kernelcert.certify")
 
 # expected verdict matrix for the canonical zoo
 EXPECTED = {
@@ -216,3 +219,46 @@ class TestAudit:
         ]
         for edge in required:
             assert edge in edges
+
+
+class TestRuleTableExhaustive:
+    """Every row of the rule table, read at both values of its class's fact
+    on every space kind the class admits, obeys the implication graph."""
+
+    # kernels lending each class the names its rows refer to: each fails its
+    # class's fact where a zoo kernel does (a3 borrows the constant kernel's)
+    DONORS = {"a1": kc.sinc(1.0), "a2": kc.dirichlet(1), "a3": kc.constant(1.0),
+              "constant": kc.constant(1.0), "a4": kc.taylor_exp()}
+
+    @staticmethod
+    def _placements(zoo_kernels):
+        seen = {}
+        for k in zoo_kernels.values():
+            seen.setdefault(kc.kernel_class(k), k)
+        for klass, k in sorted(seen.items()):
+            kinds = ("euclidean", "torus") if klass == "constant" else (k.space.kind,)
+            for kind in kinds:
+                space = kc.torus(1) if kind == "torus" else kc.euclidean(1)
+                yield klass, kc.make_kernel(k.family, space, **dict(k.params))
+
+    def test_every_row_obeys_the_graph(self, zoo_kernels, monkeypatch):
+        graph = kc.default_implication_graph()
+        read, checks = set(), 0
+        for klass, k in self._placements(zoo_kernels):
+            _, names, details = certify_mod._facts(self.DONORS[klass])
+            for fact in (True, False):
+                monkeypatch.setattr(certify_mod, "_facts", lambda _k, f=fact: (f, names, details))
+                certs = kc.certify_all(k)
+                monkeypatch.undo()
+                assert kc.audit_implications(certs) == [], (klass, k.space.kind, fact)
+                for cert in certs:
+                    read.add((id(certify_mod._TABLE[klass][cert.property]), fact))
+                    if cert.verdict == FAILS:
+                        assert cert.witness_ref is not None, (klass, cert.property, fact)
+                checks += len(graph.applicable(k))
+        # rows by identity: a3 and the constant kernel share theirs
+        rows = {id(row) for table in certify_mod._TABLE.values() for row in table.values()}
+        assert len(rows) == 22
+        assert read == {(row, fact) for row in rows for fact in (True, False)}
+        # six placements: a1, a2, a3, a4, and the constant kernel on both spaces
+        assert checks == 2 * (7 + 14 + 18 + 6 + 18 + 25)

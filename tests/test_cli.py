@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,30 @@ class TestBadInput:
                                "--method", "both")
         assert rc == 1 and out == "" and err.startswith("error:")
         assert cause in err
+
+    @pytest.mark.parametrize("verb,family,params", [
+        ("energy", "radial_gaussian", {"sigma": 1.0}),
+        ("energy", "inverse_multiquadric", {"beta": 1e300, "c": 1e-300}),
+        ("mmd", "inverse_multiquadric", {"beta": 1e300, "c": 1e-300}),
+    ])
+    def test_spatial_sum_beyond_the_float_range(self, capsys, tmp_path, dirac_pair, verb,
+                                                family, params):
+        # an infinite double sum once read as mmd(delta_0, delta_1) = 0
+        kernel = write_measure(tmp_path, "k.json", {
+            "family": family, "space": {"kind": "euclidean", "dim": 1}, "params": params})
+        weight = 1e300 if family == "radial_gaussian" else 1.0
+        measure = write_measure(tmp_path, "m.json", {
+            "space": {"kind": "euclidean", "dim": 1},
+            "atoms": [{"x": [0.0], "w": weight}, {"x": [1.0], "w": -weight}]})
+        argv = (["energy", "--kernel", kernel, "--measure", measure, "--method", "spatial"]
+                if verb == "energy" else
+                ["mmd", "--kernel", kernel, "--p", dirac_pair[0], "--q", dirac_pair[1]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == "" and err.startswith("error:")
+        assert "float range" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_non_finite_witness_is_not_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(kc.witness, "witness_to_json", lambda w: {"energy": math.nan})

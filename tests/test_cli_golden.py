@@ -91,6 +91,27 @@ def test_cli_output_matches_golden(tmp_path):
     assert not moved, f"{len(moved)} entries differ from {GOLDEN.name}: {moved}"
 
 
+def test_sequential_calls_in_one_process(tmp_path, monkeypatch):
+    """certify, energy, certify again in one process: no call leaves state
+    behind that changes the next one's golden output."""
+    golden = json.loads(GOLDEN.read_text())
+    monkeypatch.chdir(tmp_path)
+    measure = tmp_path / "gaussian_ti.measure.json"
+    measure.write_text(json.dumps({"space": {"kind": "euclidean", "dim": 1},
+                                   "atoms": [{"x": [x], "w": w} for x, w in ATOMS]}))
+    calls = [
+        ("certify dirichlet characteristic",
+         ["certify", "--kernel", ZOO / "dirichlet.json", "--property", "characteristic"]),
+        ("energy gaussian_ti",
+         ["energy", "--kernel", ZOO / "gaussian_ti.json", "--measure", measure,
+          "--method", "both"]),
+        ("certify gaussian_ti strictly_pd",
+         ["certify", "--kernel", ZOO / "gaussian_ti.json", "--property", "strictly_pd"]),
+    ]
+    for key, argv in calls:
+        assert _normalize_certify(_run(argv)) == golden[key], key
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -328,6 +328,12 @@ class TestJsonAndRegistry:
         schema_path = Path(kc.kernels.__file__).parent / "schemas" / "kernel_params.json"
         schema = json.loads(schema_path.read_text())
         assert set(schema["families"]) == {k.family for k in ALL_FAMILIES}
+        # the schema repeats each family's space and parameter names
+        for k in ALL_FAMILIES:
+            entry, spec = schema["families"][k.family], family_spec(k)
+            space = {"any": "euclidean or torus"}.get(spec.space_kind, spec.space_kind)
+            assert entry["space"] == space, k.family
+            assert set(entry["params"]) == set(spec.params), k.family
 
     def test_bad_parameters(self):
         with pytest.raises(KernelConfigError):
