@@ -72,12 +72,14 @@ def _require_same_space(k, mu):
 
 
 def _require_finite(mu, *values):
-    """Refuse a double sum that left the float range: an infinite kernel
+    """Refuse a kernel sum that left the float range: an infinite kernel
     value or weights too large for their products."""
     if not all(map(math.isfinite, values)):
+        with np.errstate(over="ignore"):
+            mass = mu.total_variation
         raise UnsupportedCombinationError(
-            f"the spatial double sum over a measure of total variation "
-            f"{mu.total_variation:g} overflows the float range")
+            f"the kernel sum over a measure of total variation "
+            f"{mass:g} overflows the float range")
 
 
 def inner(k, mu, nu):
@@ -119,8 +121,10 @@ def embed_eval(k, mu, x):
     _require_same_space(k, mu)
     if mu.is_zero:
         return 0.0
-    row = K.cross_gram(k, [np.atleast_1d(x)], mu.points)[0]
-    return float(row @ mu.weights)
+    with np.errstate(all="ignore"):
+        value = float(K.cross_gram(k, [np.atleast_1d(x)], mu.points)[0] @ mu.weights)
+    _require_finite(mu, value)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared numerical kernels: adaptive 1-d quadrature (QUADPACK, whose error
 is an estimate: only the derivation of the sinc-squared spectrum uses it),
-symmetric-matrix minimum-eigenpair extraction, a dense LP front end, and
+symmetric-matrix minimum-eigenpair extraction, an LP front end, and
 Gauss-Legendre panels for every certified spectral integral.
 
 The cosine transform ``c(d) = int_R cos(w d) q(w) dw`` of an even density
@@ -38,13 +38,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
 from scipy.optimize import linprog
 
 # Per-lag accuracy the spectral transforms aim their tail cutoffs at.
 SPECTRAL_TARGET = 1e-11
 # Largest constraint residual an LP solution may leave.
 LP_FEAS_TOL = 1e-9
+# HiGHS stops at 1e-7 residuals by default, which LP_FEAS_TOL would refuse.
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 
 
 class QuadratureWarning(UserWarning):
@@ -123,15 +126,17 @@ def min_eig_sym(G):
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds=None):
     """Minimize ``c @ x`` subject to ``A_ub x <= b_ub`` and ``A_eq x = b_eq``.
 
-    Variables are free unless ``bounds`` is given.  The returned solution is
-    verified against the constraints to ``LP_FEAS_TOL``; infeasible and
-    unbounded programs raise dedicated errors.
+    Variables are free unless ``bounds`` is given.  ``A_ub`` may be dense or
+    a scipy sparse matrix.  HiGHS runs at primal and dual feasibility
+    tolerances of 1e-10, and the returned solution is verified against the
+    constraints to ``LP_FEAS_TOL``; infeasible and unbounded programs raise
+    dedicated errors.
     """
     c = np.asarray(c, dtype=float)
     if bounds is None:
         bounds = [(None, None)] * c.size
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+                  bounds=bounds, method="highs", options=_HIGHS_OPTIONS)
     if res.status == 2:
         raise LPInfeasibleError(res.message)
     if res.status == 3:
@@ -140,7 +145,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds=None):
         raise LPError(res.message)
     x = res.x
     if A_ub is not None:
-        viol = np.max(np.asarray(A_ub) @ x - np.asarray(b_ub), initial=0.0)
+        lhs = A_ub @ x if sparse.issparse(A_ub) else np.asarray(A_ub) @ x
+        viol = np.max(lhs - np.asarray(b_ub), initial=0.0)
         if viol > LP_FEAS_TOL:
             raise InternalConsistencyError(f"LP inequality residual {viol:g}")
     if A_eq is not None:

@@ -1,10 +1,13 @@
 
+import time
+
 import numpy as np
 import pytest
 
 import kernelcert as kc
 from kernelcert.measures import SpaceMismatchError
-from kernelcert.weaktopo import _lipschitz_rows
+from kernelcert.numerics import solve_lp
+from kernelcert.weaktopo import _constraint_rows, _sample_empirical
 
 from conftest import random_probability
 
@@ -31,12 +34,63 @@ def lipschitz_rows_loop(dist):
     return np.array(rows)
 
 
+def dense_bounded_lipschitz(P, Q):
+    """The bounded-Lipschitz LP over every atom pair, as one dense program:
+    the reference for the pair generation."""
+    diff = P - Q
+    delta = diff.weights if diff.weights[0] > 0 else -diff.weights
+    n = len(delta)
+    A_ub = lipschitz_rows_loop(np.linalg.norm(diff.points[:, None] - diff.points[None], axis=2))
+    A_eq = np.zeros((1, n + 2))
+    A_eq[0, n:] = 1.0
+    c = np.zeros(n + 2)
+    c[:n] = -delta
+    fun, _ = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq, b_eq=np.ones(1),
+                      bounds=[(None, None)] * n + [(0.0, None)] * 2)
+    return -fun
+
+
+def probe_program(seed, d, atoms=150, size=25):
+    """A target of ``atoms`` random atoms and an empirical sample of it, drawn
+    in this order from one generator."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(0, 1, (atoms, d))
+    w = rng.random(atoms)
+    target = kc.construct(kc.euclidean(d), list(zip(pts, w / w.sum())))
+    return _sample_empirical(target, size, rng), target
+
+
 class TestBoundedLipschitz:
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (7, 2), (40, 3)])
     def test_constraint_rows_match_the_loop(self, n, d):
         pts = np.random.default_rng(n).normal(0, 1, (n, d))
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        assert np.array_equal(_lipschitz_rows(dist), lipschitz_rows_loop(dist))
+        i, j = np.triu_indices(n, 1)
+        rows = _constraint_rows(n, i, j, dist[i, j])
+        assert np.array_equal(rows.toarray(), lipschitz_rows_loop(dist))
+
+    @pytest.mark.parametrize("seed,d,atoms,size", [(1021, 2, 150, 25), (1096, 2, 150, 25),
+                                                   (2002, 2, 60, 5)])
+    def test_programs_near_the_residual_check(self, seed, d, atoms, size):
+        # HiGHS's default 1e-7 tolerances left residuals of 2.4e-8, 9.3e-9
+        # and 1.2e-9 here, which the 1e-9 check refused
+        P, T = probe_program(seed, d, atoms, size)
+        assert abs(kc.bounded_lipschitz(P, T) - dense_bounded_lipschitz(P, T)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", range(1000, 1010))
+    def test_generated_pairs_match_all_pairs(self, seed, d):
+        P, T = probe_program(seed, d)
+        val = kc.bounded_lipschitz(P, T)
+        assert val == kc.bounded_lipschitz(T, P)
+        assert abs(val - dense_bounded_lipschitz(P, T)) <= 1e-9
+
+    def test_line_program_is_linear_in_size(self):
+        rng = np.random.default_rng(480)
+        P, Q = (kc.construct(E1, [(x, 1 / 240) for x in rng.normal(0, 1, 240)]) for _ in "PQ")
+        t0 = time.perf_counter()
+        kc.bounded_lipschitz(P, Q)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_equal_measures(self):
         P = kc.dirac(E1, 0.3)
