@@ -140,7 +140,9 @@ class FamilySpec:
     support), ``mixing`` the rate-mixing :class:`SpectralMeasure`
     (a3/constant), ``quadrature(n_nodes)`` the Gaussian components of a
     mixing density, and ``taylor`` the :class:`TaylorCoefficients` (a4).
-    ``integrable`` says whether an a1 profile is integrable.
+    ``integrable`` says whether an a1 profile is integrable.  ``joint``
+    checks the validated parameters together, raising
+    :class:`KernelConfigError`.
 
     The spectral functions never call ``profile``, so the spectral route
     stays independent of the closed form.
@@ -160,6 +162,7 @@ class FamilySpec:
     mixing: object = None
     quadrature: object = None
     taylor: object = None
+    joint: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,11 @@ def _rate_mixing(atoms):
 def _sinc_sq_lam():
     hw, peak = sinc_sq_spectrum()
     return lambda w: (peak / TWO_PI) * np.maximum(0.0, 1.0 - np.abs(w) / hw)
+
+
+def _sinc_sq_tail():
+    hw, peak = sinc_sq_spectrum()
+    return numerics.BoxTail(hw, peak / TWO_PI, 0.0)
 
 
 def _expcos_coeff(alpha):
@@ -345,6 +353,21 @@ def _imq_mixing(beta, c):
                            supp_is_only_zero=False)
 
 
+def _imq_joint(beta, c):
+    """The profile (c^2 + r^2)^(-beta) needs c^2 and k(0) = c^(-2 beta) to be
+    normal floats: a c^2 that underflows makes k(0) infinite or wrong in its
+    leading digits.  k(0) is checked in log space, where no power can
+    overflow."""
+    finfo = np.finfo(float)
+    if not finfo.tiny <= c * c <= finfo.max:
+        raise KernelConfigError(f"inverse_multiquadric(c={c:g}): c^2 leaves the normal "
+                                f"float range")
+    log_k0 = -2.0 * beta * math.log(c)
+    if not math.log(finfo.tiny) <= log_k0 <= math.log(finfo.max):
+        raise KernelConfigError(f"inverse_multiquadric(beta={beta:g}, c={c:g}): k(0) = "
+                                f"c^(-2 beta) = exp({log_k0:.6g}) leaves the normal float range")
+
+
 def _imq_quadrature(n_nodes, beta, c):
     """Generalized Gauss-Laguerre discretization of the Gamma-type mixing.
     Raises where a rate or mass is not finite: the rule's weights overflow
@@ -405,13 +428,13 @@ _FAMILIES = {
         "a1", "euclidean", {"sigma": _positive},
         profile=lambda d, sigma: sigma * np.sinc(sigma * d / np.pi),
         lam=lambda sigma: lambda w: np.where(np.abs(w) <= sigma, 0.5, 0.0),
-        tail=lambda sigma: numerics.BoxTail(sigma),
+        tail=lambda sigma: numerics.BoxTail(sigma, 0.5, 0.5),
         support=lambda sigma: _box(sigma)),
     "sinc_sq": FamilySpec(
         "a1", "euclidean", {},
         profile=lambda d: np.sinc(d / np.pi) ** 2,
         lam=_sinc_sq_lam,
-        tail=lambda: numerics.BoxTail(sinc_sq_spectrum()[0]),
+        tail=_sinc_sq_tail,
         support=lambda: _box(sinc_sq_spectrum()[0]),
         integrable=True),
     "poisson_torus": FamilySpec(
@@ -450,7 +473,8 @@ _FAMILIES = {
         "a3", "euclidean", {"beta": _positive, "c": _positive},
         radial=lambda r2, beta, c: (c * c + r2) ** (-beta),
         mixing=_imq_mixing,
-        quadrature=_imq_quadrature),
+        quadrature=_imq_quadrature,
+        joint=_imq_joint),
     "radial_atoms": FamilySpec(
         "a3", "euclidean", {"atoms": _rate_atoms},
         radial=_atoms_radial,
@@ -483,6 +507,8 @@ def make_kernel(family, space, **params):
         )
     checked = tuple(sorted((name, spec.params[name](name, value))
                            for name, value in params.items()))
+    if spec.joint is not None:
+        spec.joint(**dict(checked))
     return KernelDescriptor(family, space, checked)
 
 

@@ -22,8 +22,28 @@ lag bucket:
 * ``TriangleWaveTail`` (q = (1 - cos w)/(pi w^2)): the tail is exact
   through the sine integral, up to round-off.
 
-Panels are one oscillation period wide, and the quadrature error estimate
-is the difference against the same rule on every other panel edge.
+One 16-point Gauss-Legendre rule covers [0, A], with a certified a-priori
+remainder (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
+SIAM Review 50 (2008), Thm 4.5; ATAP Thm 19.3): on a panel of half-width h
+whose Bernstein ellipse E_rho holds no singularity of f(z) = cos(z d) q(z),
+and where |f| <= M, the m-point rule errs by at most
+h (64/15) M rho^(-2(m-1)) / (rho^2 - 1).  |cos(z d)| <= cosh(d Y), with Y
+the ellipse's half-height, and each rule's ``ellipse_bound`` bounds |q| on
+the rectangle enclosing the ellipse.  rho is the best of a short fixed list
+per panel, at the lag bucket's largest lag.  Panels span 4, 2 or 1
+oscillation periods: the coarsest layout whose remainder is at most
+``REMAINDER_TARGET`` is taken, and failing all, the finest with its
+remainder.  Round-off adds max(F, A) per lag d.  A = 2 u d sum_j |f_j|
+(3 |x_j| + 4 h_j) (u = 2^-53, f the weighted density at the float nodes x,
+h their panel's half-width) is derived: rounding a + b, b - a, the node
+mid + half t and the argument x d, with numpy's Legendre roots t within
+0.32 u of the true ones, moves each cosine by at most u d (3 |x| + 4 h), to
+first order (:func:`_node_rounding`).  F = 1e-15 max(1, 2 sum|f|) is an
+empirical allowance for the rest (weights, density, cosines and sums),
+scaled by the transform's mass and not yet derived.  The two combine by
+max, not by sum, so where A nears F the bound is no proof: the rest alone
+was measured up to 0.9 F (ROADMAP item 14).
+
 :func:`cosine_series` sums the cosine series of torus Fourier coefficients.
 
 All routines are pure: tolerances travel through explicit configuration
@@ -168,10 +188,24 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds=None):
 # remainder is certified; compact supports need no tail at all.
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_ORDER = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _NODE_CHUNK = 16384
 _BLOCK = 64 * _NODE_CHUNK  # lag-node products per cosine block (8 MB)
 MAX_PANELS = 1 << 18  # per lag bucket, 16 nodes each: 33 MB per node array
+
+# Bernstein-ellipse parameters tried on every panel (a column, so that one
+# array holds every (rho, panel) pair), and Trefethen's factor
+# (64/15) rho^(-2(m-1)) / (rho^2 - 1) for the m-point rule.
+_RHOS = np.geomspace(1.1, 32.0, 24)[:, None]
+_RHO_FACTOR = (64.0 / 15.0) * _RHOS ** (-2.0 * (_GL_ORDER - 1)) / (_RHOS ** 2 - 1.0)
+# Largest quadrature remainder a panel layout may leave: a hundredth of the
+# per-lag round-off floor, so coarser panels never loosen a bound.
+REMAINDER_TARGET = 1e-17
+# Most rectangles ``gl_remainder`` bounds the density on, per layout.
+_MAX_GROUPS = 512
+# Oscillation periods per panel, coarsest layout first.
+_PERIODS = (4, 2, 1)
 
 
 def _gl_grid(edges):
@@ -180,6 +214,15 @@ def _gl_grid(edges):
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
     return (mid + half * _GL_NODES[None, :]).ravel(), (half * _GL_WEIGHTS[None, :]).ravel()
+
+
+def _node_rounding(edges, nodes):
+    """Per node of ``_gl_grid(edges)``, a bound on |x~ - x|, x~ the float
+    node and x the exact rule's node on the float panel [a, b]: u |mid| for
+    a + b, u h each for b - a, half t and numpy's root t (within 0.32 u of
+    the Legendre root), and u |x~| for the sum, where |mid| <= |x~| + h."""
+    h = np.repeat(0.5 * np.diff(edges), _GL_ORDER)
+    return 2.0 ** -53 * (2.0 * np.abs(nodes) + 4.0 * h)
 
 
 def cosine_sums(deltas, nodes, weights):
@@ -198,22 +241,43 @@ def cosine_sums(deltas, nodes, weights):
     return out
 
 
-def _cos_dot(density, edges, deltas):
-    """2 * integral over [edges[0], edges[-1]] of cos(w d) density(w), per d."""
-    nodes, wts = _gl_grid(edges)
-    return 2.0 * cosine_sums(deltas, nodes, wts * density(nodes))
+def gl_remainder(tail, edges, d):
+    """Certified bound on the error of the 16-point rule on ``edges`` for
+    ``2 int cos(w d) q(w) dw`` at every lag in [0, d].
+
+    Per panel of half-width h, the least over ``_RHOS`` of
+    2 h (64/15) cosh(d Y) M rho^-30 / (rho^2 - 1), with Y = h (rho - 1/rho) / 2
+    and M = ``tail.ellipse_bound`` on the rectangle enclosing the ellipse;
+    summed over panels.  cosh(d Y) grows with d, so the bound at d holds at
+    every smaller lag.  Beyond ``_MAX_GROUPS`` panels, runs of consecutive
+    panels share one rectangle, which encloses all their ellipses, and the
+    largest half-width among them: memory and time stay bounded, and the
+    bound only grows.
+    """
+    n = len(edges) - 1
+    start = np.arange(0, n, -(-n // _MAX_GROUPS))
+    lo, hi = edges[start], edges[np.append(start[1:], n)]
+    h = 0.5 * np.maximum.reduceat(np.diff(edges), start)
+    y = h * (0.5 * (_RHOS - 1.0 / _RHOS))
+    spill = h * (0.5 * (_RHOS + 1.0 / _RHOS) - 1.0)  # semi-major axis beyond h
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        per = ((hi - lo) * _RHO_FACTOR * np.cosh(d * y)
+               * tail.ellipse_bound(lo - spill, hi + spill, y))
+    # an overflow met by an underflow reads NaN; count it as no bound
+    return float(np.where(np.isnan(per), np.inf, per).min(axis=0).sum())
 
 
-def _segment_edges(cut, freq, tail):
-    """Panel edges on [0, cut], each about one oscillation period wide:
-    linear panels over the density bulk (at least ``tail.min_panels``), then
-    octave-doubling segments beyond it.  More than ``MAX_PANELS`` raise
-    ValueError before any node is allocated."""
+def _segment_edges(cut, freq, tail, periods=1):
+    """Panel edges on [0, cut], each about ``periods`` oscillation periods
+    wide: linear panels over the density bulk (at least
+    ``tail.min_panels // periods``), then octave-doubling segments beyond
+    it.  More than ``MAX_PANELS`` raise ValueError before any node is
+    allocated."""
     bounds = [0.0, min(tail.bulk, cut)]
     while bounds[-1] < cut:
         bounds.append(min(2.0 * bounds[-1], cut))
-    counts = np.maximum(1.0, np.ceil(np.diff(bounds) * freq / (2.0 * np.pi)))
-    counts[0] = max(counts[0], tail.min_panels)
+    counts = np.maximum(1.0, np.ceil(np.diff(bounds) * freq / (2.0 * np.pi * periods)))
+    counts[0] = max(counts[0], tail.min_panels // periods)
     if counts.sum() > MAX_PANELS:
         raise ValueError(f"the spectral quadrature at lag {freq - tail.intrinsic_freq:.6g} "
                          f"needs {counts.sum():.3g} panels, above the limit of {MAX_PANELS}")
@@ -221,13 +285,35 @@ def _segment_edges(cut, freq, tail):
     return np.concatenate([[0.0]] + parts)
 
 
+def _panel_layout(cut, dmax, tail):
+    """The coarsest panel layout of ``_PERIODS`` whose remainder at lag
+    ``dmax`` is at most ``REMAINDER_TARGET``, else the finest; returns its
+    edges and remainder.  Only panels are evaluated here, never lags."""
+    freq = dmax + tail.intrinsic_freq
+    for periods in _PERIODS:
+        edges = _segment_edges(cut, freq, tail, periods)
+        remainder = gl_remainder(tail, edges, dmax)
+        if remainder <= REMAINDER_TARGET:
+            break
+    return edges, remainder
+
+
 def _halved(edges):
+    # every other panel edge: the band energy's second rule
     if len(edges) <= 2:
         return edges
     e = edges[::2]
     if e[-1] != edges[-1]:
         e = np.append(e, edges[-1])
     return e
+
+
+def _rectangle(x_lo, x_hi):
+    """Least and largest |x| over each real interval [x_lo, x_hi]: the
+    bounds on |Re z| over a rectangle [x_lo, x_hi] x [-Y, Y]."""
+    far = np.maximum(np.abs(x_lo), np.abs(x_hi))
+    near = np.where((x_lo <= 0.0) & (x_hi >= 0.0), 0.0, np.minimum(np.abs(x_lo), np.abs(x_hi)))
+    return near, far
 
 
 class AxisTailRule:
@@ -237,7 +323,10 @@ class AxisTailRule:
     at lag >= dmin stays below ``SPECTRAL_TARGET``; ``correction(cut, d)``
     returns the two-sided tail correction added to the core integral and its
     certified remainder bound.  ``bulk`` is where the density's mass sits and
-    ``min_panels`` the fewest linear panels laid over it.
+    ``min_panels`` the fewest linear panels of one period laid over it.
+    ``ellipse_bound(x_lo, x_hi, Y)`` bounds |density(z)|, continued
+    analytically from each panel, on the rectangles [x_lo, x_hi] x [-Y, Y]
+    (arrays): infinite where a singularity may lie inside.
     """
 
     intrinsic_freq = 0.0
@@ -250,6 +339,9 @@ class AxisTailRule:
     def correction(self, cut, deltas):
         raise NotImplementedError
 
+    def ellipse_bound(self, x_lo, x_hi, y):
+        raise NotImplementedError
+
     def decay_bound(self, deltas):
         """A certified bound on |c(d)| per lag, or None when the rule has
         none.  Lags whose bound is below a hundred-thousandth of the target
@@ -258,11 +350,18 @@ class AxisTailRule:
 
 
 class BoxTail(AxisTailRule):
-    """Compactly supported density: integrate to the edge, no tail."""
+    """Compactly supported density, affine on [0, edge] from ``q0`` at 0 to
+    ``q_edge`` at the edge: integrate to the edge, no tail."""
 
-    def __init__(self, half_width):
+    def __init__(self, half_width, q0, q_edge):
         self.half_width = float(half_width)
         self.bulk = self.half_width
+        self.q0, self.q_edge = float(q0), float(q_edge)
+
+    def ellipse_bound(self, x_lo, x_hi, y):
+        # |q0 + (q_edge - q0) z / edge| <= |q0| + |q_edge - q0| |z| / edge
+        _, far = _rectangle(x_lo, x_hi)
+        return abs(self.q0) + abs(self.q_edge - self.q0) * np.hypot(far, y) / self.half_width
 
     def cutoff(self, dmin):
         return self.half_width
@@ -276,7 +375,8 @@ class GaussianTail(AxisTailRule):
     """Density N(0, s^2) per axis; tail mass erfc(cut / (s sqrt 2))."""
 
     # the density is entire and its bulk spans ten deviations: twelve
-    # panels of 16 nodes resolve it, and so do the six of the halved rule
+    # one-period panels of 16 nodes resolve it, and at small lags the
+    # remainder lets the 2- and 4-period layouts take six or three
     min_panels = 12
 
     def __init__(self, s):
@@ -289,6 +389,12 @@ class GaussianTail(AxisTailRule):
         t = 1e-5 * SPECTRAL_TARGET
         return self.s * np.sqrt(2.0) * float(erfcinv(t))
 
+    def ellipse_bound(self, x_lo, x_hi, y):
+        # |exp(-z^2 / 2 s^2)| = exp((Im z^2 - Re z^2) / 2 s^2)
+        near, _ = _rectangle(x_lo, x_hi)
+        peak = 1.0 / (self.s * math.sqrt(2.0 * math.pi))
+        return peak * np.exp((y * y - near * near) / (2.0 * self.s ** 2))
+
     def decay_bound(self, deltas):
         # 2m integrations by parts over the whole line: |c(d)| <=
         # ||q^(2m)||_1 / d^(2m), and ||q^(k)||_1 = E|He_k(X)| / s^k <=
@@ -299,8 +405,10 @@ class GaussianTail(AxisTailRule):
         k = 2.0 * np.clip(np.floor(u * u / 2.0), 1.0, 60.0)
         with np.errstate(divide="ignore"):
             log_u = np.log(u)
-        return np.exp(np.minimum(0.5 * gammaln(k + 1.0) - k * log_u,
-                                 0.5 * gammaln(k + 3.0) - (k + 2.0) * log_u))
+        # kept above the least normal float, so that it never rounds to 0
+        return np.maximum(np.exp(np.minimum(0.5 * gammaln(k + 1.0) - k * log_u,
+                                            0.5 * gammaln(k + 3.0) - (k + 2.0) * log_u)),
+                          np.finfo(float).tiny)
 
     def correction(self, cut, deltas):
         from scipy.special import erfc
@@ -327,6 +435,12 @@ class CauchyTail(AxisTailRule):
     def __init__(self, s):
         self.s = float(s)
         self.bulk = 40.0 * self.s
+
+    def ellipse_bound(self, x_lo, x_hi, y):
+        # |s^2 + z^2| = |z - i s| |z + i s|, and either factor is at least
+        # sqrt(x_min^2 + max(0, s - Y)^2): both poles +-is stay outside
+        near, _ = _rectangle(x_lo, x_hi)
+        return (self.s / np.pi) / (near * near + np.maximum(0.0, self.s - y) ** 2)
 
     def _log_remainder(self, cut, d, k):
         # log of 2 (2K)! s / (pi A^(2K+1) d^(2K))
@@ -383,16 +497,25 @@ class TriangleWaveTail(AxisTailRule):
     intrinsic_freq = 1.0
     bulk = 80.0
 
+    def ellipse_bound(self, x_lo, x_hi, y):
+        # entire: its power series gives (cosh R - 1) / R^2 = 2 sinh(R/2)^2 / R^2
+        # for |z| <= R; away from 0, |1 - cos z| <= 1 + cosh Y
+        near, far = _rectangle(x_lo, x_hi)
+        r = np.hypot(far, y)
+        return np.minimum(2.0 * (np.sinh(0.5 * r) / r) ** 2,
+                          (1.0 + np.cosh(y)) / (near * near)) / np.pi
+
     def cutoff(self, dmin):
         return self.bulk
 
     def correction(self, cut, deltas):
         # Si(eta cut) nears pi/2, so its round-off grows with eta: below
-        # 1.8 u (d + 1) against 40-digit values for d <= 2.1e4; bound 8 u (d + 1)
+        # 1.8 u (d + 1) against 40-digit values for d <= 2.1e4, lag 0 and
+        # lags next to 1 included; bound 8 u (d + 1)
         d = np.asarray(deltas, dtype=float)
         c = cos_over_sq_tail
         corr = (2.0 / np.pi) * (c(d, cut) - 0.5 * c(d + 1.0, cut) - 0.5 * c(d - 1.0, cut))
-        bound = np.maximum(4e-14, 2.0 ** -50 * (d + 1.0))
+        bound = 2.0 ** -50 * (d + 1.0)
         return corr, bound
 
 
@@ -410,9 +533,9 @@ def cosine_transform_even(density, deltas, tail: AxisTailRule):
 
     ``density`` must be even (only its restriction to w >= 0 is evaluated)
     and nonnegative.  Returns ``(values, error_bounds)`` where the bounds
-    combine a quadrature error estimate with the certified tail remainder;
-    lags where the tail rule's ``decay_bound`` is negligible get the value 0
-    and that bound.
+    add the certified quadrature remainder of :func:`gl_remainder`, the
+    certified tail remainder and round-off; lags where the tail rule's
+    ``decay_bound`` is negligible get the value 0 and that bound.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1:
@@ -447,13 +570,16 @@ def cosine_transform_even(density, deltas, tail: AxisTailRule):
             continue
         ds = deltas[mask]
         cut = tail.cutoff(dmin)
-        freq = dmax + tail.intrinsic_freq
-        edges = _segment_edges(cut, freq, tail)
-        core = _cos_dot(density, edges, ds)
-        coarse = _cos_dot(density, _halved(edges), ds)
+        edges, remainder = _panel_layout(cut, dmax, tail)
+        nodes, wts = _gl_grid(edges)
+        f = wts * density(nodes)
         corr, bound = tail.correction(cut, ds)
-        vals[mask] = core + corr
-        errs[mask] = np.abs(core - coarse) + bound + 1e-15
+        vals[mask] = 2.0 * cosine_sums(ds, nodes, f) + corr
+        # the node's rounding and that of x d (u |x d|) move each cosine
+        floor = 1e-15 * max(1.0, 2.0 * float(np.abs(f).sum()))
+        slack = 2.0 ** -53 * np.abs(nodes) + _node_rounding(edges, nodes)
+        argument = 2.0 * float(np.abs(f) @ slack) * ds
+        errs[mask] = remainder + bound + np.maximum(floor, argument)
     return vals, errs
 
 

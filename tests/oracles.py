@@ -193,6 +193,50 @@ def band_energy(lam, alpha, omega0, w, peak, edge=None):
         return 2 * mp.quad(integrand, pts)
 
 
+def cosine_transform_exact(rule, s, d, dps=30):
+    """int_R cos(w d) q(w) dw to ``dps`` digits, at the float lag ``d``
+    taken exactly, for the four tail-rule densities at scale ``s``:
+    N(0, s^2), (s/pi)/(s^2 + w^2), (1 - cos w)/(pi w^2) (no scale) and 1/2
+    on [-s, s]."""
+    with mp.workdps(dps):
+        s, d = mp.mpf(s), mp.mpf(d)
+        if rule == "gaussian":
+            return mp.exp(-(s * d) ** 2 / 2)
+        if rule == "cauchy":
+            return mp.exp(-s * d)
+        if rule == "triangle":
+            return max(mp.mpf(0), 1 - d)
+        return s if d == 0 else mp.sin(s * d) / d
+
+
+def _gauss_legendre_16(dps):
+    """The 16-point Gauss-Legendre rule on [-1, 1] to ``dps`` digits: the
+    roots of P_16 by Newton's method from numpy's nodes, and weights
+    2 / ((1 - x^2) P_16'(x)^2)."""
+    with mp.workdps(dps):
+        nodes = [mp.findroot(lambda t: mp.legendre(16, t), mp.mpf(x))
+                 for x in np.polynomial.legendre.leggauss(16)[0]]
+        return nodes, [2 / ((1 - x * x) * mp.diff(lambda t: mp.legendre(16, t), x) ** 2)
+                       for x in nodes]
+
+
+def gl_panel_error(density, edges, d, dps=30):
+    """|2 (16-point Gauss-Legendre on each panel of ``edges``) - 2 int cos(w d)
+    density(w)| over [edges[0], edges[-1]], for an mpf ``density``: the
+    rule's exact nodes and weights and the integral to ``dps`` digits, so
+    the quadrature error alone remains, up to about 10^-dps."""
+    with mp.workdps(dps):
+        nodes, weights = _gauss_legendre_16(dps)
+        d = mp.mpf(d)
+        rule = 0
+        for a, b in zip(edges, edges[1:]):
+            mid, half = (mp.mpf(a) + mp.mpf(b)) / 2, (mp.mpf(b) - mp.mpf(a)) / 2
+            rule += half * mp.fsum(w * mp.cos((mid + half * x) * d) * density(mid + half * x)
+                                   for x, w in zip(nodes, weights))
+        pts = mp.linspace(mp.mpf(edges[0]), mp.mpf(edges[-1]), 17)
+        return abs(2 * rule - 2 * mp.quad(lambda w: mp.cos(w * d) * density(w), pts))
+
+
 def modsincsq_l1_core(alpha, omega0, X=60):
     """2 int_0^X |2 alpha cos(omega0 x) sin^2 x / x^2| dx to 20 digits,
     piecewise between the zeros of cos(omega0 x) and of sin x."""

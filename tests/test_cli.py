@@ -298,7 +298,7 @@ class TestBadInput:
         assert rc == 1 and out == "" and err.startswith("error:")
 
     @pytest.mark.parametrize("family,params,weight,cause", [
-        ("inverse_multiquadric", {"beta": 1e300, "c": 1e-300}, 1.0, "float range"),
+        ("radial_atoms", {"atoms": [[0.0, 1e308], [0.0, 1e308]]}, 1.0, "float range"),
         ("inverse_multiquadric", {"beta": 200.0, "c": 1.0}, 1.0, "float range"),
         ("radial_gaussian", {"sigma": 1.0}, 1e300, "total variation"),
     ])
@@ -315,14 +315,25 @@ class TestBadInput:
         assert rc == 1 and out == "" and err.startswith("error:")
         assert cause in err
 
+    def test_kernel_with_an_infinite_peak_is_refused(self, capsys, tmp_path):
+        # c^2 underflows to 0, so k(0) = c^(-2 beta) is infinite; certify
+        # once read it as strictly positive definite
+        kernel = write_measure(tmp_path, "k.json", {
+            "family": "inverse_multiquadric", "space": {"kind": "euclidean", "dim": 1},
+            "params": {"beta": 1e300, "c": 1e-300}})
+        rc, out, err = run(capsys, "certify", "--kernel", kernel, "--property", "strictly-pd")
+        assert rc == 1 and out == "" and err.startswith("error:")
+        assert "float range" in err
+
     @pytest.mark.parametrize("verb,family,params", [
         ("energy", "radial_gaussian", {"sigma": 1.0}),
-        ("energy", "inverse_multiquadric", {"beta": 1e300, "c": 1e-300}),
-        ("mmd", "inverse_multiquadric", {"beta": 1e300, "c": 1e-300}),
+        ("energy", "radial_atoms", {"atoms": [[0.0, 1e308], [0.0, 1e308]]}),
+        ("mmd", "radial_atoms", {"atoms": [[0.0, 1e308], [0.0, 1e308]]}),
     ])
     def test_spatial_sum_beyond_the_float_range(self, capsys, tmp_path, dirac_pair, verb,
                                                 family, params):
-        # an infinite double sum once read as mmd(delta_0, delta_1) = 0
+        # an infinite double sum once read as mmd(delta_0, delta_1) = 0; the
+        # kernel builds, and k = 2e308 overflows only inside the sum
         kernel = write_measure(tmp_path, "k.json", {
             "family": family, "space": {"kind": "euclidean", "dim": 1}, "params": params})
         weight = 1e300 if family == "radial_gaussian" else 1.0
@@ -336,7 +347,7 @@ class TestBadInput:
             warnings.simplefilter("always")
             rc, out, err = run(capsys, *argv)
         assert rc == 1 and out == "" and err.startswith("error:")
-        assert "float range" in err
+        assert "kernel sum" in err and "float range" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_non_finite_witness_is_not_written(self, capsys, tmp_path, monkeypatch):

@@ -267,7 +267,7 @@ class TestEmbedEval:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     @pytest.mark.parametrize("k,mu", [
-        (kc.inverse_multiquadric(1e300, 1e-300), kc.dirac(E1, 0.0)),
+        (kc.radial_atoms([(0.0, 1e308), (0.0, 1e308)]), kc.dirac(E1, 0.0)),
         (kc.gaussian_ti(1.0), diracs(E1, (0.0, 1e308), (0.1, 1e308))),
     ], ids=["infinite-kernel", "huge-weights"])
     def test_overflow_refused_without_warning(self, k, mu):

@@ -343,6 +343,15 @@ class TestJsonAndRegistry:
         with pytest.raises(KernelConfigError):
             kc.make_kernel("gaussian_ti", kc.euclidean(1))
 
+    @pytest.mark.parametrize("beta,c", [(1e300, 1e-300), (400.0, 0.1), (2.0, 1e300),
+                                        (0.1, 1e-170), (0.1, 1e-160), (1e-3, 1e160)])
+    def test_inverse_multiquadric_peak_outside_the_float_range(self, beta, c):
+        # k(0) = c^(-2 beta) overflows to inf or underflows to 0, or c^2
+        # leaves the normal range though k(0) would not: 0 ** -0.1 = inf at
+        # c = 1e-170, a subnormal c^2 at 1e-160, inf ** -1e-3 = 0 at 1e160
+        with pytest.raises(KernelConfigError, match="float range"):
+            kc.inverse_multiquadric(beta, c)
+
     def test_space_compatibility(self):
         with pytest.raises(KernelConfigError):
             kc.make_kernel("dirichlet", kc.euclidean(1), l=2)

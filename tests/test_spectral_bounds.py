@@ -3,6 +3,7 @@ of the fast spectral routes against the spatial double sum."""
 
 import statistics
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,3 +87,18 @@ def test_fast_spectral_routes_agree_with_spatial(name, n, d, spread, seed):
     sp = kc.energy_spatial(k, mu)
     se = kc.energy_spectral(k, mu)
     assert abs(sp.value - se.value) <= sp.error_bound + se.error_bound
+
+
+@pytest.mark.parametrize("g", [1e5, 1.6e6])
+def test_sinc_far_atoms_within_the_spectral_bound(g):
+    # rounding the cosine arguments w d errs in proportion to the lag: at
+    # these spacings it once exceeded the spectral bound (1.32e-13 against
+    # 9.0e-14, and 7.26e-12 against 2.06e-12)
+    atoms = [(0.0, 1.0), (g / 3 + 0.1, 0.25), (g, -0.5)]
+    k = kc.sinc(1.0, 1)
+    se = kc.energy_spectral(k, kc.construct(k.space, [([x], w) for x, w in atoms]))
+    with mp.workdps(30):
+        exact = mp.fsum(mp.mpf(wi) * mp.mpf(wj) * (mp.sin(r) / r if r else 1)
+                        for xi, wi in atoms for xj, wj in atoms
+                        for r in [mp.mpf(xi) - mp.mpf(xj)])
+        assert abs(mp.mpf(se.value) - exact) <= se.error_bound
