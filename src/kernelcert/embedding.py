@@ -9,9 +9,13 @@ mean embedding,
                                                      (spectral form),
 
 and the two routes are computed independently so they can cross-check each
-other.  The spectral route expands |mu-hat|^2 into atom pairs; by the
-product structure of every translation-invariant family in the zoo the
-integral then factors into per-axis transforms with certified error bounds.
+other.  :func:`energy_spectral` takes its route from one table keyed by
+(kernel class, measure type) and checks the measure's space once.  For a
+discrete measure it expands |mu-hat|^2 into atom pairs; by the product
+structure of every translation-invariant family in the zoo the integral
+then factors into per-axis transforms with certified error bounds.  The
+band-limited density integrates |mu-hat|^2 lam on Gauss-Legendre panels
+with the certified remainder of ``numerics.gl_remainder``.
 
 Everything operates on immutable values and returns fresh objects.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .measures import (
     density_ft,
     sinc_sq_spectrum,
 )
-from .numerics import InternalConsistencyError, _gl_grid, _halved, _segment_edges
+from .numerics import InternalConsistencyError, _gl_grid, _segment_edges, gl_remainder
 
 _EPS = np.finfo(float).eps
 
@@ -71,6 +76,12 @@ def _require_same_space(k, mu):
         )
 
 
+def _rounding_factor(n):
+    """Relative round-off allowance of a weighted double sum over n atoms,
+    times sum |w_i w_j k_ij|."""
+    return min(8 * n, 4500) * _EPS
+
+
 def _require_finite(mu, *values):
     """Refuse a kernel sum that left the float range: an infinite kernel
     value or weights too large for their products."""
@@ -106,7 +117,7 @@ def energy_spatial(k, mu) -> EnergyResult:
         G = K.cross_gram(k, mu.points, mu.points)
         value = float(mu.weights @ G @ mu.weights)
         absmass = float(np.abs(mu.weights) @ np.abs(G) @ np.abs(mu.weights))
-    bound = min(8 * mu.n_atoms, 4500) * _EPS * absmass
+    bound = _rounding_factor(mu.n_atoms) * absmass
     _require_finite(mu, value, bound)
     if value < -bound:
         raise InternalConsistencyError(
@@ -157,7 +168,7 @@ def _pair_sum(mu, inv, vals_u, errs_u):
     ww = np.outer(w, w)
     value = np.sum(ww * prod_v, axis=(-2, -1))
     bound = np.sum(np.abs(ww) * prod_err, axis=(-2, -1))
-    bound += min(8 * n, 4500) * _EPS * np.sum(np.abs(ww) * np.abs(prod_v), axis=(-2, -1))
+    bound += _rounding_factor(n) * np.sum(np.abs(ww) * np.abs(prod_v), axis=(-2, -1))
     return value, bound
 
 
@@ -172,77 +183,64 @@ def _pairwise_energy(k, mu, method):
     return EnergyResult(float(value), method, float(bound))
 
 
+def _band_ellipse(tail, mu: ModulatedSincSq):
+    """``tail`` with its ``ellipse_bound`` times a bound on |mu-hat(z)|^2, for
+    ``gl_remainder`` on panels where mu-hat is linear: |mu-hat| <= 2 |alpha|
+    peak on the panel, its slope is at most 2 |alpha| peak / w, and z in the
+    rectangle [x_lo, x_hi] x [-Y, Y] about the panel lies within
+    x_hi - x_lo + Y of each panel point, so there
+    |mu-hat(z)| <= 2 |alpha| peak (1 + (x_hi - x_lo + Y) / w)."""
+    w, peak = sinc_sq_spectrum()
+    sup = 2.0 * abs(mu.alpha) * peak
+    return SimpleNamespace(ellipse_bound=lambda x_lo, x_hi, y: (
+        (sup * (1.0 + (x_hi - x_lo + y) / w)) ** 2 * tail.ellipse_bound(x_lo, x_hi, y)))
+
+
 def _band_density_energy(k, mu: ModulatedSincSq):
     """d=1 integral 2 int_0^hi |mu-hat|^2 lam, hi = min(w0 + w, box edge), on
     the family's lag-0 cosine-transform panels joined with mu-hat's kinks
-    below hi (band edges and centre, |w0 - w|): each panel holds one smooth
-    piece, and a polynomial one (a cubic for sinc and sinc_sq) is exact.
-    Bound: the difference against the rule on every other panel edge; 64 u
-    times the sum, for round-off; the change of the sum when each node moves
-    by 4 u hi, which covers node rounding and grows with hi / w; and the
-    transforms' per-lag floor 1e-15 times sup |mu-hat|^2 = (2 alpha peak)^2,
-    for band pieces beyond the density's bulk, which both rules share."""
+    below hi (band edges and centre, |w0 - w|): each panel holds one linear
+    piece of mu-hat, and a polynomial integrand (a cubic for sinc and
+    sinc_sq) is exact.  Bound: the certified remainder at lag 0 over the
+    panels of [lo, hi] (mu-hat vanishes below lo; :func:`_band_ellipse`);
+    64 u times the sum, for round-off; the change of the sum when each node
+    moves by 4 u hi, which covers node rounding and grows with hi / w; and
+    1e-15 times sup |mu-hat|^2 = (2 alpha peak)^2, for the rounding of
+    mu-hat near its zeros."""
     spec = K.spectral(k)
     lo, hi = mu.band_edges()
     if spec.support.kind == "box":
         hi = min(hi, spec.support.half_width)
     if hi <= lo:
         # spectral supports are disjoint: the integrand vanishes identically
-        return 0.0, 1e-15
+        return EnergyResult(0.0, "spectral_quadrature", 1e-15)
     w, peak = sinc_sq_spectrum()
     kinks = np.array([lo, mu.omega0, abs(mu.omega0 - w)])
+    tail = K.family_spec(k).tail(**dict(k.params))
+    edges = np.union1d(_segment_edges(hi, 0.0, tail), kinks[kinks < hi])
+    x, wts = _gl_grid(edges)
 
-    def terms(edges, shift=0.0):
-        x, wts = _gl_grid(np.union1d(edges, kinks[kinks < hi]))
+    def terms(shift=0.0):
         return 2.0 * wts * density_ft(mu, x + shift) ** 2 * spec.lambda_axis(x + shift)
 
-    edges = _segment_edges(hi, 0.0, K.family_spec(k).tail(**dict(k.params)))
-    fine = terms(edges)
+    fine = terms()
     value = float(fine.sum())
-    moved = np.abs(terms(edges, 2.0 * _EPS * hi) - fine).sum()
-    return value, float(abs(value - terms(_halved(edges)).sum()) + 32 * _EPS * value
-                        + moved + 1e-15 * (2.0 * mu.alpha * peak) ** 2)
+    moved = np.abs(terms(2.0 * _EPS * hi) - fine).sum()
+    remainder = gl_remainder(_band_ellipse(tail, mu), edges[edges >= lo], 0.0)
+    return EnergyResult(value, "spectral_quadrature", float(
+        remainder + 32 * _EPS * value + moved + 1e-15 * (2.0 * mu.alpha * peak) ** 2))
 
 
-def _constant_energy(k, mu):
-    if isinstance(mu, DiscreteSignedMeasure):
-        _require_same_space(k, mu)
-        mass = mu.total_mass
-        scale = mu.total_variation
-    elif isinstance(mu, TorusCosine):
-        mass, scale = 0.0, abs(mu.alpha)
-    elif isinstance(mu, ModulatedSincSq):
-        mass = density_ft(mu, 0.0)
-        scale = abs(mu.alpha) * math.pi
-    else:
-        raise UnsupportedCombinationError(type(mu).__name__)
+def _constant_energy(k, mass, scale):
     c = k.param("c")
     return EnergyResult(c * mass * mass, "spectral_quadrature",
                         64 * _EPS * c * scale * scale + 1e-300)
 
 
-def _density_energy(k, mu):
-    if isinstance(mu, ModulatedSincSq):
-        if k.space.dim != 1:
-            raise UnsupportedCombinationError("band-limited densities live on the line")
-        value, bound = _band_density_energy(k, mu)
-        return EnergyResult(value, "spectral_quadrature", bound)
-    _require_discrete(mu)
-    _require_same_space(k, mu)
-    return _pairwise_energy(k, mu, "spectral_quadrature")
-
-
-def _series_energy(k, mu):
-    if isinstance(mu, TorusCosine):
-        if k.space.dim != 1:
-            raise UnsupportedCombinationError("TorusCosine lives on the circle")
-        coeff = K.spectral(k).coeff
-        value = 2.0 * (2.0 * math.pi) ** 2 * mu.alpha ** 2 * coeff(mu.n0)
-        return EnergyResult(value, "spectral_series",
-                            64 * _EPS * max(value, mu.alpha ** 2) + 1e-300)
-    _require_discrete(mu)
-    _require_same_space(k, mu)
-    return _pairwise_energy(k, mu, "spectral_series")
+def _torus_cosine_energy(k, mu: TorusCosine):
+    coeff = K.spectral(k).coeff
+    value = 2.0 * (2.0 * math.pi) ** 2 * mu.alpha ** 2 * coeff(mu.n0)
+    return EnergyResult(value, "spectral_series", 64 * _EPS * max(value, mu.alpha ** 2) + 1e-300)
 
 
 def _mixture_energy(k, mu):
@@ -251,8 +249,6 @@ def _mixture_energy(k, mu):
     one whose cap m TV(mu)^2 is below ``_SKIP_CAP`` is skipped and its cap
     added to the bound.  A mixing density is discretized at 48 and 24 nodes;
     twice their difference bounds the discretization error."""
-    _require_discrete(mu)
-    _require_same_space(k, mu)
     if mu.is_zero:
         return EnergyResult(0.0, "spectral_quadrature", 0.0)
     try:
@@ -280,9 +276,19 @@ def _mixture_energy(k, mu):
     return EnergyResult(value, "spectral_quadrature", bound)
 
 
-# the spectral route of each kernel class
-_SPECTRAL_ROUTES = {"constant": _constant_energy, "a1": _density_energy,
-                    "a2": _series_energy, "a3": _mixture_energy}
+# the spectral route of each (kernel class, measure type) pair the library supports
+_SPECTRAL_ROUTES = {
+    ("a1", DiscreteSignedMeasure): lambda k, mu: _pairwise_energy(k, mu, "spectral_quadrature"),
+    ("a1", ModulatedSincSq): _band_density_energy,
+    ("a2", DiscreteSignedMeasure): lambda k, mu: _pairwise_energy(k, mu, "spectral_series"),
+    ("a2", TorusCosine): _torus_cosine_energy,
+    ("a3", DiscreteSignedMeasure): _mixture_energy,
+    ("constant", DiscreteSignedMeasure):
+        lambda k, mu: _constant_energy(k, mu.total_mass, mu.total_variation),
+    ("constant", TorusCosine): lambda k, mu: _constant_energy(k, 0.0, abs(mu.alpha)),
+    ("constant", ModulatedSincSq):
+        lambda k, mu: _constant_energy(k, density_ft(mu, 0.0), abs(mu.alpha) * math.pi),
+}
 
 
 def energy_spectral(k, mu) -> EnergyResult:
@@ -294,9 +300,11 @@ def energy_spectral(k, mu) -> EnergyResult:
     spectral energies.  Agrees with :func:`energy_spatial` within the
     combined error bounds whenever both apply.
     """
-    route = _SPECTRAL_ROUTES.get(K.kernel_class(k))
+    route = _SPECTRAL_ROUTES.get((K.kernel_class(k), type(mu)))
     if route is None:
-        raise UnsupportedCombinationError(f"no spectral energy for family {k.family}")
+        raise UnsupportedCombinationError(
+            f"no spectral energy for family {k.family} and a {type(mu).__name__}")
+    _require_same_space(k, mu)
     return route(k, mu)
 
 

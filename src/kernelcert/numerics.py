@@ -298,16 +298,6 @@ def _panel_layout(cut, dmax, tail):
     return edges, remainder
 
 
-def _halved(edges):
-    # every other panel edge: the band energy's second rule
-    if len(edges) <= 2:
-        return edges
-    e = edges[::2]
-    if e[-1] != edges[-1]:
-        e = np.append(e, edges[-1])
-    return e
-
-
 def _rectangle(x_lo, x_hi):
     """Least and largest |x| over each real interval [x_lo, x_hi]: the
     bounds on |Re z| over a rectangle [x_lo, x_hi] x [-Y, Y]."""

@@ -79,6 +79,22 @@ class TestEnergyVerb:
         assert rc == 1 and "error" in err
 
 
+    @pytest.mark.parametrize("kernel_space,measure", [
+        ({"kind": "torus", "dim": 1},
+         {"space": {"kind": "euclidean", "dim": 1},
+          "density": {"family": "modulated_sincsq", "alpha": 1.0, "omega0": 1.0}}),
+        ({"kind": "euclidean", "dim": 3},
+         {"space": {"kind": "torus", "dim": 1},
+          "density": {"family": "torus_cosine", "alpha": 0.5, "n0": 2}}),
+    ], ids=["band-under-torus-constant", "torus_cosine-under-R3-constant"])
+    def test_density_on_another_space_exit_1(self, capsys, tmp_path, kernel_space, measure):
+        kernel = write_measure(tmp_path, "k.json", {
+            "family": "constant", "space": kernel_space, "params": {"c": 2.0}})
+        rc, out, err = run(capsys, "energy", "--kernel", kernel,
+                           "--measure", write_measure(tmp_path, "m.json", measure),
+                           "--method", "spectral")
+        assert rc == 1 and out == "" and err.startswith("error:")
+
 class TestMmdVerb:
     def test_constant_kernel_zero(self, capsys, dirac_pair):
         p, q = dirac_pair

@@ -1,21 +1,27 @@
+import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import kernelcert as kc
-from kernelcert.embedding import UnsupportedCombinationError
+from kernelcert import embedding
+from kernelcert.embedding import UnsupportedCombinationError, _band_ellipse
 from kernelcert.measures import SpaceMismatchError
+from kernelcert.numerics import BoxTail, gl_remainder
 
 from conftest import random_discrete, random_probability
+import oracles
 from oracles import band_energy
 
 PI = math.pi
 E1 = kc.euclidean(1)
 T1 = kc.torus(1)
+W, PEAK = kc.sinc_sq_spectrum()
 
 
 def diracs(space, *pairs):
@@ -143,6 +149,36 @@ class TestEnergySpectral:
         res = kc.energy_spectral(kc.constant(2.0), mu)
         assert abs(res.value - 2.0 * 1.2 ** 2) <= 1e-14
 
+    @pytest.mark.parametrize("mu,expect", [
+        (diracs(T1, (0.0, 0.7), (2.0, 0.5)), 2.0 * 1.2 ** 2),
+        (kc.TorusCosine(0.5, 2), 0.0),
+        # mu-hat(0) = 2 alpha peak (1 - w0 / w), two triangles at +-w0
+        (kc.ModulatedSincSq(-1.5, 1.25), 2.0 * (2 * -1.5 * PEAK * (1 - 1.25 / W)) ** 2),
+    ], ids=["discrete", "torus_cosine", "modulated_sincsq"])
+    def test_constant_kernel_on_each_measure_type(self, mu, expect):
+        # c mu(X)^2 = c mu-hat(0)^2, on the measure's own space
+        res = kc.energy_spectral(kc.constant(2.0, mu.space), mu)
+        assert abs(res.value - expect) <= res.error_bound
+
+    @pytest.mark.parametrize("k,mu", [
+        (kc.constant(2.0, T1), kc.ModulatedSincSq(1.0, 1.0)),
+        (kc.constant(2.0, kc.euclidean(3)), kc.TorusCosine(0.5, 2)),
+        (kc.gaussian_ti(1.0, 2), kc.ModulatedSincSq(1.0, 1.0)),
+        (kc.poisson_torus(0.5, 2), kc.TorusCosine(0.5, 2)),
+    ], ids=["constant-torus-band", "constant-R3-torus_cosine", "a1-R2-band", "a2-T2-torus_cosine"])
+    def test_density_on_another_space_refused(self, k, mu):
+        with pytest.raises(SpaceMismatchError):
+            kc.energy_spectral(k, mu)
+
+    @pytest.mark.parametrize("k,mu", [
+        (kc.radial_gaussian(1.0), kc.ModulatedSincSq(1.0, 1.0)),
+        (kc.poisson_torus(0.5), kc.ModulatedSincSq(1.0, 1.0)),
+        (kc.gaussian_ti(1.0), kc.TorusCosine(0.5, 2)),
+    ], ids=["a3-band", "a2-band", "a1-torus_cosine"])
+    def test_unsupported_pair_names_family_and_measure(self, k, mu):
+        with pytest.raises(UnsupportedCombinationError, match=f"{k.family}.*{type(mu).__name__}"):
+            kc.energy_spectral(k, mu)
+
     @pytest.mark.parametrize("make,dim", PARSEVAL_CASES + [
         pytest.param(make, d, id=f"{make(1).family}-{d}")
         for make, _ in PARSEVAL_CASES for d in (4, 8)
@@ -192,8 +228,6 @@ def _cauchy_lam(sigma):
     return lambda x: (s / mp.pi) / (s * s + x * x)
 
 
-W, PEAK = kc.sinc_sq_spectrum()
-
 # kernel, spectral density per axis typed from its definition, box edge
 BAND_KERNELS = {
     "sinc-1": (kc.sinc(1.0), lambda x: mp.mpf(0.5), 1.0),
@@ -209,6 +243,11 @@ BAND_KERNELS = {
     # the nodes near w0 is what the bound must cover
     "sinc-1e7": (kc.sinc(1e7), lambda x: mp.mpf(0.5), 1e7),
 }
+
+
+# the band energies' bounds before the certified remainder replaced the
+# two-rule estimate, on TestBandEnergy's grid
+BAND_CEILINGS = json.loads((Path(__file__).parent / "band_bound_ceilings.json").read_text())
 
 
 class TestBandEnergy:
@@ -234,6 +273,70 @@ class TestBandEnergy:
             res = kc.energy_spectral(k, kc.ModulatedSincSq(alpha, omega0))
         assert type(res.value) is float and type(res.error_bound) is float
         assert abs(res.value - float(exact)) <= res.error_bound
+
+    @pytest.mark.parametrize("row", BAND_CEILINGS, ids=[
+        f"{r['kernel']}-{r['alpha']}-{r['omega0']}" for r in BAND_CEILINGS])
+    def test_bound_at_most_the_recorded_ceiling(self, row):
+        # the bounds of the two-rule error estimate the certified remainder
+        # replaced: on the same panels the remainder may not loosen them
+        k = BAND_KERNELS[row["kernel"]][0]
+        res = kc.energy_spectral(k, kc.ModulatedSincSq(row["alpha"], row["omega0"]))
+        assert res.error_bound <= row["bound"] * (1.0 + 1e-4)
+
+    @pytest.mark.parametrize("name,omega0,edges", [
+        ("gaussian_ti-10", 0.5, [0.0, 0.5]),
+        ("gaussian_ti-10", 0.5, [0.5, W - 0.5]),
+        ("gaussian_ti-10", 0.5, [0.5, 1.0, W - 0.5]),
+        ("laplacian_ti-0.05", 0.5, [0.0, 0.5]),
+        ("laplacian_ti-0.05", 0.5, [0.0, 0.25, 0.5]),
+        ("laplacian_ti-0.05", 0.5, [0.5, W - 0.5]),
+        ("laplacian_ti-0.05", 3.0, [3.0 - W, 3.0]),
+    ])
+    def test_remainder_bounds_the_error_on_coarse_panels(self, name, omega0, edges):
+        # panels inside one linear piece of mu-hat (between its kinks
+        # w0 - w, |w0 - w| and w0), far wider than the energy lays; the
+        # band's value is twice the rule for mu-hat^2 lam, as is the oracle's
+        k, lam, _ = BAND_KERNELS[name]
+        mu = kc.ModulatedSincSq(-2.0, omega0)
+        alpha, w0, w, peak = (mp.mpf(v) for v in (-2.0, omega0, W, PEAK))
+
+        def tri(t):
+            return peak * max(0, 1 - abs(t) / w)
+
+        err = oracles.gl_panel_error(lambda x: (alpha * (tri(x - w0) + tri(x + w0))) ** 2 * lam(x),
+                                     np.array(edges), 0.0)
+        tail = kc.kernels.family_spec(k).tail(**dict(k.params))
+        rem = gl_remainder(_band_ellipse(tail, mu), np.array(edges), 0.0)
+        assert 1e-20 < err <= rem
+
+    @pytest.mark.parametrize("omega0,a,b", [
+        (3.0, 3.0 - W, 3.0), (3.0, 3.0, 3.0 + W),
+        (0.5, 0.0, 0.5), (0.5, 0.5, W - 0.5), (0.5, W - 0.5, 0.5 + W)])
+    @pytest.mark.parametrize("rho", [1.1, 4.0, 32.0])
+    def test_band_ellipse_holds_mu_hat_on_the_rectangle(self, omega0, a, b, rho):
+        # mu-hat continued linearly from the piece [a, b] over the rectangle
+        # gl_remainder lays about the panel's ellipse; the unit box density
+        # leaves the mu-hat factor alone
+        mu = kc.ModulatedSincSq(-2.0, omega0)
+        fa, fb = kc.density_ft(mu, a), kc.density_ft(mu, b)
+        h = 0.5 * (b - a)
+        y, spill = h * 0.5 * (rho - 1 / rho), h * (0.5 * (rho + 1 / rho) - 1)
+        bound = _band_ellipse(BoxTail(10.0, 1.0, 1.0), mu).ellipse_bound(a - spill, b + spill, y)
+        for re in np.linspace(a - spill, b + spill, 9):
+            for im in np.linspace(-y, y, 9):
+                z = complex(re, im)
+                assert abs(fa + (fb - fa) * (z - a) / (b - a)) ** 2 <= bound
+
+    def test_remainder_enters_the_bound(self, monkeypatch):
+        # one panel per linear piece of mu-hat (0, w0, |w0 - w|, hi) leaves
+        # the Cauchy density, its poles at +-0.05i, a quadrature error far
+        # above the round-off terms: only the remainder covers it
+        monkeypatch.setattr(embedding, "_segment_edges",
+                            lambda cut, freq, tail: np.array([0.0, cut]))
+        k, lam, edge = BAND_KERNELS["laplacian_ti-0.05"]
+        res = kc.energy_spectral(k, kc.ModulatedSincSq(1.0, 0.5))
+        exact = band_energy(lam, 1.0, 0.5, W, PEAK, edge)
+        assert 1e-6 < abs(res.value - float(exact)) <= res.error_bound
 
     def test_work_does_not_grow_with_the_frequency(self):
         k = kc.laplacian_ti(1.0)
