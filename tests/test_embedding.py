@@ -15,8 +15,7 @@ from kernelcert.measures import SpaceMismatchError
 from kernelcert.numerics import BoxTail, gl_remainder
 
 from conftest import random_discrete, random_probability
-import oracles
-from oracles import band_energy
+from oracles import band_energy, gl_panel_error
 
 PI = math.pi
 E1 = kc.euclidean(1)
@@ -303,8 +302,8 @@ class TestBandEnergy:
         def tri(t):
             return peak * max(0, 1 - abs(t) / w)
 
-        err = oracles.gl_panel_error(lambda x: (alpha * (tri(x - w0) + tri(x + w0))) ** 2 * lam(x),
-                                     np.array(edges), 0.0)
+        err = gl_panel_error(lambda x: (alpha * (tri(x - w0) + tri(x + w0))) ** 2 * lam(x),
+                             np.array(edges), 0.0)
         tail = kc.kernels.family_spec(k).tail(**dict(k.params))
         rem = gl_remainder(_band_ellipse(tail, mu), np.array(edges), 0.0)
         assert 1e-20 < err <= rem
