@@ -61,7 +61,8 @@ def _load_measure(path):
 def _parse_points(text, dim):
     """Point list syntax: points split by ';', coordinates by ','.
 
-    On one-dimensional spaces a plain CSV list is also accepted."""
+    On one-dimensional spaces a plain CSV list is also accepted.  Every
+    ``--samples`` list is read here; non-finite numbers are refused."""
     if dim == 1 and ";" not in text:
         text = text.replace(",", ";")
     pts = []
@@ -70,6 +71,8 @@ def _parse_points(text, dim):
         if not chunk:
             continue
         coords = [float(v) for v in chunk.split(",")]
+        if not np.isfinite(coords).all():
+            raise DomainError(f"point {chunk!r} has a non-finite coordinate")
         if len(coords) != dim:
             raise DomainError(f"point {chunk!r} has {len(coords)} coordinates, expected {dim}")
         pts.append(coords)
@@ -212,7 +215,7 @@ def cmd_witness(args):
 
 def cmd_experiment_converge(args):
     k = _load_kernel(args.kernel)
-    params = [float(v) for v in args.samples.split(",") if v.strip()]
+    params = _parse_points(args.samples, 1)[:, 0].tolist()
     if args.kind == "empirical":
         if not args.measure:
             raise DomainError("empirical experiments need --measure for the target")

@@ -35,13 +35,8 @@ import numpy as np
 from scipy.special import gammaln, roots_genlaguerre
 
 from . import numerics
-from .measures import (
-    Space,
-    SpaceMismatchError,
-    TWO_PI,
-    euclidean,
-    sinc_sq_spectrum,
-)
+from .measures import (Space, SpaceMismatchError, TWO_PI, _number, _require_fields,
+                       _space_from_json, _space_to_json, euclidean, sinc_sq_spectrum)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Largest pairwise array (atom pairs x axes, or x rates) one call may build:
@@ -169,34 +164,25 @@ class FamilySpec:
 # parameter validators
 # ---------------------------------------------------------------------------
 
-def _number(name, v, ok, what):
-    try:
-        v = float(v)
-    except (TypeError, ValueError):
-        raise KernelConfigError(f"{name} must be a number, got {v!r}") from None
-    if not (math.isfinite(v) and ok(v)):
-        raise KernelConfigError(f"{name} must {what}, got {v}")
-    return v
-
-
 def _positive(name, v):
-    return _number(name, v, lambda x: x > 0, "be positive")
+    return _number(name, v, lambda x: x > 0, "be positive", KernelConfigError)
 
 
 def _nonnegative(name, v):
-    return _number(name, v, lambda x: x >= 0, "be >= 0")
+    return _number(name, v, lambda x: x >= 0, "be >= 0", KernelConfigError)
 
 
 def _open_unit(name, v):
-    return _number(name, v, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
+    return _number(name, v, lambda x: 0.0 < x < 1.0, "lie in (0, 1)", KernelConfigError)
 
 
 def _half_open_unit(name, v):
-    return _number(name, v, lambda x: 0.0 < x <= 1.0, "lie in (0, 1]")
+    return _number(name, v, lambda x: 0.0 < x <= 1.0, "lie in (0, 1]", KernelConfigError)
 
 
 def _natural(name, v):
-    return int(_number(name, v, lambda x: x == int(x) and x >= 1, "be a positive integer"))
+    return int(_number(name, v, lambda x: x == int(x) and x >= 1, "be a positive integer",
+                       KernelConfigError))
 
 
 # Largest band degree l of dirichlet/fejer: their spectral supports list
@@ -825,27 +811,14 @@ def kernel_to_json(k: KernelDescriptor):
     # tuple-valued parameters (rate atoms) become nested lists
     params = {name: [list(a) for a in value] if isinstance(value, tuple) else value
               for name, value in k.params}
-    return {
-        "family": k.family,
-        "space": {"kind": k.space.kind, "dim": k.space.dim},
-        "params": params,
-    }
+    return {"family": k.family, "space": _space_to_json(k.space), "params": params}
 
 
 def kernel_from_json(doc):
-    if not isinstance(doc, dict):
-        raise KernelConfigError("kernel document must be an object")
-    unknown = set(doc) - {"family", "space", "params"}
-    if unknown:
-        raise KernelConfigError(f"unknown fields in kernel document: {sorted(unknown)}")
-    for key in ("family", "space"):
-        if key not in doc:
-            raise KernelConfigError(f"kernel document is missing {key!r}")
-    space_doc, params = doc["space"], doc.get("params", {})
-    if not isinstance(space_doc, dict) or set(space_doc) != {"kind", "dim"}:
-        raise KernelConfigError("space document needs exactly the fields 'kind' and 'dim'")
+    _require_fields(doc, {"family", "space", "params"}, "kernel", {"family", "space"},
+                    KernelConfigError)
+    space = _space_from_json(doc["space"], KernelConfigError)
+    params = doc.get("params", {})
     if not isinstance(params, dict):
         raise KernelConfigError("kernel params must be an object")
-    # Space rejects a non-integer dim rather than truncating it
-    space = Space(str(space_doc["kind"]), space_doc["dim"])
     return make_kernel(doc["family"], space, **params)

@@ -35,9 +35,24 @@ class InvalidMeasureError(ValueError):
     pass
 
 
+def _number(name, v, ok, what, error=InvalidMeasureError):
+    """``v`` as a finite float passing ``ok``, else ``error``: ``name`` must ``what``."""
+    try:
+        v = float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be a number, got {v!r}") from None
+    if not (math.isfinite(v) and ok(v)):
+        raise error(f"{name} must {what}, got {v}")
+    return v
+
+
+# Largest dimension: (2 pi)^dim stays finite, and lists of dim numbers small.
+_MAX_DIM = 256
+
+
 @dataclass(frozen=True)
 class Space:
-    """Ambient space: ``kind`` is ``"euclidean"`` or ``"torus"``, ``dim >= 1``."""
+    """Ambient space: ``kind`` is ``"euclidean"`` or ``"torus"``, ``1 <= dim <= 256``."""
 
     kind: str
     dim: int
@@ -45,8 +60,8 @@ class Space:
     def __post_init__(self):
         if self.kind not in ("euclidean", "torus"):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        if type(self.dim) is not int or not 1 <= self.dim <= _MAX_DIM:
+            raise ValueError(f"dim must be an integer from 1 to {_MAX_DIM}")
 
     @property
     def is_torus(self):
@@ -252,8 +267,7 @@ class TorusCosine:
     space: Space = field(default_factory=lambda: torus(1))
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha != 0):
-            raise InvalidMeasureError("alpha must be a finite nonzero number")
+        object.__setattr__(self, "alpha", _number("alpha", self.alpha, bool, "be nonzero"))
         if isinstance(self.n0, bool) or not isinstance(self.n0, int) or self.n0 < 1:
             raise InvalidMeasureError("n0 must be a positive integer")
         if self.space != torus(1):
@@ -277,10 +291,9 @@ class ModulatedSincSq:
     space: Space = field(default_factory=lambda: euclidean(1))
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha != 0):
-            raise InvalidMeasureError("alpha must be a finite nonzero number")
-        if not 0 < self.omega0 < math.inf:
-            raise InvalidMeasureError("omega0 must be a finite positive number")
+        object.__setattr__(self, "alpha", _number("alpha", self.alpha, bool, "be nonzero"))
+        object.__setattr__(self, "omega0", _number("omega0", self.omega0, lambda w: w > 0,
+                                                   "be positive"))
         if self.space != euclidean(1):
             raise SpaceMismatchError("ModulatedSincSq lives on the line")
 
@@ -378,20 +391,22 @@ def _space_to_json(space: Space):
     return {"kind": space.kind, "dim": space.dim}
 
 
-def _space_from_json(doc):
-    _require_fields(doc, {"kind", "dim"}, "space")
+def _space_from_json(doc, error=InvalidMeasureError):
+    _require_fields(doc, {"kind", "dim"}, "space", error=error)
     return Space(str(doc["kind"]), doc["dim"])
 
 
-def _require_fields(doc, allowed, what, required=None):
+def _require_fields(doc, allowed, what, required=None, error=InvalidMeasureError):
+    """The field check of every document reader: an object, no field outside
+    ``allowed``, none of ``required`` (default: all of ``allowed``) missing."""
     if not isinstance(doc, dict):
-        raise InvalidMeasureError(f"{what} document must be an object")
+        raise error(f"{what} document must be an object")
     unknown = set(doc) - set(allowed)
     if unknown:
-        raise InvalidMeasureError(f"unknown fields in {what} document: {sorted(unknown)}")
+        raise error(f"unknown fields in {what} document: {sorted(unknown)}")
     for key in (required if required is not None else allowed):
         if key not in doc:
-            raise InvalidMeasureError(f"{what} document is missing {key!r}")
+            raise error(f"{what} document is missing {key!r}")
 
 
 def measure_to_json(mu):
@@ -420,15 +435,19 @@ def measure_from_json(doc):
     if ("atoms" in doc) == ("density" in doc):
         raise InvalidMeasureError("measure document needs exactly one of atoms/density")
     if "atoms" in doc:
+        if not isinstance(doc["atoms"], list):
+            raise InvalidMeasureError("atoms must be a list")
         for entry in doc["atoms"]:
             _require_fields(entry, {"x", "w"}, "atom")
         return construct(space, [(entry["x"], entry["w"]) for entry in doc["atoms"]])
     dens = doc["density"]
+    if not isinstance(dens, dict):
+        raise InvalidMeasureError("density document must be an object")
     family = dens.get("family")
     if family == "torus_cosine":
         _require_fields(dens, {"family", "alpha", "n0"}, "density")
-        return TorusCosine(float(dens["alpha"]), dens["n0"], space)
+        return TorusCosine(dens["alpha"], dens["n0"], space)
     if family == "modulated_sincsq":
         _require_fields(dens, {"family", "alpha", "omega0"}, "density")
-        return ModulatedSincSq(float(dens["alpha"]), float(dens["omega0"]), space)
+        return ModulatedSincSq(dens["alpha"], dens["omega0"], space)
     raise InvalidMeasureError(f"unknown density family {family!r}")

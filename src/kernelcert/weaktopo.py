@@ -35,8 +35,8 @@ class ConvergenceSpec:
     kinds:
       * ``empirical``: i.i.d. samples of growing size from the target
         (inverse-CDF sampling, fixed seed);
-      * ``shrink``: symmetric two-atom measures at center +- scale;
-      * ``moving``: a single atom at target + offset.
+      * ``shrink``: symmetric two-atom measures at a Dirac target's atom +- scale;
+      * ``moving``: a single atom at a Dirac target's atom + offset.
     """
 
     kind: str
@@ -53,9 +53,11 @@ class ConvergenceSpec:
         if not vals:
             raise ValueError("empty parameter list")
         if self.kind == "empirical":
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError("sample sizes must be strictly increasing")
+            if vals[0] < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
+                raise ValueError("sample sizes must be positive and strictly increasing")
         else:
+            if self.target.n_atoms != 1:
+                raise ValueError(f"{self.kind} sequences need a one-atom target")
             if any(v <= 0 for v in vals):
                 raise ValueError("scales must be positive")
             if any(b >= a for a, b in zip(vals, vals[1:])):
@@ -173,10 +175,14 @@ def bounded_lipschitz(P, Q):
 
 
 def _sample_empirical(target, size, rng):
+    """``size`` inverse-CDF draws of weight 1 / size, summed per atom: the target's
+    atoms are canonical, so the sample keeps them in their order and no merge runs."""
     cum = np.cumsum(target.weights)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.random(size), side="right")
-    return construct(target.space, zip(target.points[idx], np.full(size, 1.0 / size)))
+    weights = np.bincount(idx, weights=np.full(size, 1.0 / size), minlength=target.n_atoms)
+    keep = weights != 0.0
+    return DiscreteSignedMeasure(target.space, target.points[keep], weights[keep])
 
 
 def generate_sequence(spec: ConvergenceSpec):

@@ -81,6 +81,7 @@ def torus_zero_energy_witness(k, grid_size, n0=None) -> Witness:
         raise WitnessError(
             f"grid size {m} aliases into the active band; need m >= {n0 + l + 1}"
         )
+    K.require_pair_array(m * m)  # the energy's lag matrix, refused before any point exists
     x = TWO_PI * np.arange(m) / m
     w = (TWO_PI / m) * 2.0 * np.cos(n0 * x)
     mu = construct(k.space, list(zip(x[:, None], w)))

@@ -156,6 +156,59 @@ class TestSpecs:
         for _, mu in generate_sequence(spec):
             assert mu.is_probability
 
+    @pytest.mark.parametrize("kind", ["shrink", "moving"])
+    def test_shrink_and_moving_need_a_one_atom_target(self, kind):
+        # the sequence is built around one atom: with 1/2 delta_0 + 1/2 delta_3
+        # it would converge to delta_0, not to the target
+        target = kc.construct(E1, [(0.0, 0.5), (3.0, 0.5)])
+        with pytest.raises(ValueError, match=kind):
+            kc.ConvergenceSpec(kind, target, (1.0, 0.5, 0.1))
+
+    def test_sample_sizes_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            kc.empirical_from_target(kc.dirac(E1, 0.0), [0, 5])
+
+
+def sample_by_construct(target, size, rng):
+    """The empirical sample built through ``construct`` from one
+    (point, weight) pair per draw: the reference for the counting build."""
+    cum = np.cumsum(target.weights)
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, rng.random(size), side="right")
+    return kc.construct(target.space, zip(target.points[idx], np.full(size, 1.0 / size)))
+
+
+class TestEmpiricalSample:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 7, 100, 4099])
+    def test_counts_match_the_construct_path(self, seed, d, size):
+        rng = np.random.default_rng(seed)
+        space = kc.torus(d) if seed % 2 else kc.euclidean(d)
+        target = random_probability(space, int(rng.integers(1, 200)), rng)
+        got = _sample_empirical(target, size, np.random.default_rng(seed + 10))
+        want = sample_by_construct(target, size, np.random.default_rng(seed + 10))
+        assert got.space == want.space
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.is_probability
+
+    def test_memory_grows_with_the_draws_not_the_pairs(self):
+        # a million draws from 150 atoms: about 16 bytes per draw, not a
+        # (point, weight) pair of Python objects per draw
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        target = random_probability(kc.euclidean(2), 150, rng)
+        tracemalloc.start()
+        try:
+            sample = _sample_empirical(target, 10 ** 6, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.n_atoms <= 150 and sample.is_probability
+        assert peak < 32 * 2 ** 20
+
 
 class TestRunConvergence:
     def test_shrink_gaussian(self):
