@@ -220,6 +220,9 @@ def cmd_experiment_converge(args):
         if not args.measure:
             raise DomainError("empirical experiments need --measure for the target")
         target = _load_measure(args.measure)
+        fractional = [v for v in params if v != int(v)]
+        if fractional:
+            raise DomainError(f"sample size {fractional[0]:g} is not an integer")
         spec = weaktopo.empirical_from_target(target, [int(v) for v in params],
                                               seed=args.seed)
     elif args.kind == "shrink":

@@ -151,24 +151,23 @@ def _pair_lags(mu, rates=1):
     return np.unique(K.pair_lags(mu.points, mu.points).ravel(), return_inverse=True)
 
 
-def _pair_sum(mu, inv, vals_u, errs_u):
-    """Energies sum_ij w_i w_j prod_axes c(lag) with propagated error.
-
-    ``vals_u`` and ``errs_u`` hold the axis transform and its error bound at
-    each distinct lag, in the last dimension; leading dimensions (one per
-    Gaussian rate, say) carry through to the returned values and bounds.
-    """
+def _pair_products(mu, inv, vals_u, errs_u):
+    """Per-pair products prod_axes c(lag) with propagated error, from the axis
+    transform ``vals_u`` and its bound ``errs_u`` at each distinct lag (last
+    dimension); leading dimensions (one per Gaussian rate) carry through."""
     n, d = mu.points.shape
-    w = mu.weights
     shape = vals_u.shape[:-1] + (n, n, d)
     V = vals_u[..., inv].reshape(shape)
     E = errs_u[..., inv].reshape(shape)
-    prod_v = np.prod(V, axis=-1)
-    prod_err = np.prod(np.abs(V) + E, axis=-1) - np.prod(np.abs(V), axis=-1)
-    ww = np.outer(w, w)
+    return np.prod(V, axis=-1), np.prod(np.abs(V) + E, axis=-1) - np.prod(np.abs(V), axis=-1)
+
+
+def _pair_sum(mu, prod_v, prod_err):
+    """Energies sum_ij w_i w_j prod_v with propagated error and round-off."""
+    ww = np.outer(mu.weights, mu.weights)
     value = np.sum(ww * prod_v, axis=(-2, -1))
     bound = np.sum(np.abs(ww) * prod_err, axis=(-2, -1))
-    bound += _rounding_factor(n) * np.sum(np.abs(ww) * np.abs(prod_v), axis=(-2, -1))
+    bound += _rounding_factor(mu.n_atoms) * np.sum(np.abs(ww) * np.abs(prod_v), axis=(-2, -1))
     return value, bound
 
 
@@ -179,7 +178,7 @@ def _pairwise_energy(k, mu, method):
     if mu.is_zero:
         return EnergyResult(0.0, method, 0.0)
     uniq, inv = _pair_lags(mu)
-    value, bound = _pair_sum(mu, inv, *K.axis_spectral_transform(k, uniq))
+    value, bound = _pair_sum(mu, *_pair_products(mu, inv, *K.axis_spectral_transform(k, uniq)))
     return EnergyResult(float(value), method, float(bound))
 
 
@@ -228,7 +227,7 @@ def _band_density_energy(k, mu: ModulatedSincSq):
     moved = np.abs(terms(2.0 * _EPS * hi) - fine).sum()
     remainder = gl_remainder(_band_ellipse(tail, mu), edges[edges >= lo], 0.0)
     return EnergyResult(value, "spectral_quadrature", float(
-        remainder + 32 * _EPS * value + moved + 1e-15 * (2.0 * mu.alpha * peak) ** 2))
+        remainder + 32 * _EPS * value + moved + 1e-15 * np.square(2.0 * mu.alpha * peak)))
 
 
 def _constant_energy(k, mass, scale):
@@ -239,41 +238,33 @@ def _constant_energy(k, mass, scale):
 
 def _torus_cosine_energy(k, mu: TorusCosine):
     coeff = K.spectral(k).coeff
-    value = 2.0 * (2.0 * math.pi) ** 2 * mu.alpha ** 2 * coeff(mu.n0)
-    return EnergyResult(value, "spectral_series", 64 * _EPS * max(value, mu.alpha ** 2) + 1e-300)
+    a2 = mu.alpha * mu.alpha
+    value = 2.0 * (2.0 * math.pi) ** 2 * a2 * coeff(mu.n0)
+    return EnergyResult(value, "spectral_series", 64 * _EPS * max(value, a2) + 1e-300)
 
 
 def _mixture_energy(k, mu):
-    """Sum of Gaussian components' energies.  A component of mass m can
-    contribute at most m TV(mu)^2 (its axis transforms are at most one), so
-    one whose cap m TV(mu)^2 is below ``_SKIP_CAP`` is skipped and its cap
-    added to the bound.  A mixing density is discretized at 48 and 24 nodes;
-    twice their difference bounds the discretization error."""
+    """Each pair value lies between the lower and the upper rate rule's
+    (``kernels.mixing_components``): the energy is their midpoint, bounded by
+    half their gap summed with |w_i w_j|, plus each rate's propagated error at
+    its larger mass.  A component of mass m contributes at most m TV(mu)^2,
+    its transforms being at most one: below ``_SKIP_CAP`` that cap bounds it."""
     if mu.is_zero:
         return EnergyResult(0.0, "spectral_quadrature", 0.0)
-    try:
-        tv2 = mu.total_variation ** 2
-    except OverflowError:
-        raise UnsupportedCombinationError(
-            f"the total variation {mu.total_variation:g} overflows when squared") from None
-    fine, exact = K.mixing_components(k, n_nodes=48)
-    coarse = () if exact else K.mixing_components(k, n_nodes=24)[0]
-    rates, masses = np.array(list(fine) + list(coarse), dtype=float).T
-    caps = masses * tv2
-    keep = caps > _SKIP_CAP
+    tv2 = np.square(mu.total_variation)
+    rates, lower, upper = K.mixing_components(k)
+    mass = np.maximum(lower, upper)
+    keep = mass * tv2 > _SKIP_CAP
     uniq, inv = _pair_lags(mu, int(keep.sum()))
     energies = np.zeros(rates.size)
     bounds = np.full(rates.size, tv2)
-    energies[keep], bounds[keep] = _pair_sum(
-        mu, inv, *K.gaussian_rate_axis_transform(rates[keep], uniq))
-    n_fine = len(fine)
-    value = float(masses[:n_fine] @ energies[:n_fine])
-    bound = float(masses[:n_fine] @ bounds[:n_fine])
-    if not exact:
-        v_half = float(masses[n_fine:] @ energies[n_fine:])
-        skipped = float(caps[~keep].sum())
-        bound += 2.0 * (abs(value - v_half) + skipped) + 1e-13 * tv2
-    return EnergyResult(value, "spectral_quadrature", bound)
+    prod_v, prod_err = _pair_products(mu, inv, *K.gaussian_rate_axis_transform(rates[keep], uniq))
+    energies[keep], bounds[keep] = _pair_sum(mu, prod_v, prod_err)
+    gap = np.tensordot(upper[keep] - lower[keep], prod_v, 1)
+    half_gap = 0.5 * float(np.sum(np.abs(np.outer(mu.weights, mu.weights) * gap)))
+    value = float((lower + 0.5 * (upper - lower)) @ energies)
+    rules = K._MIXING_ROUNDOFF * np.abs(upper - lower).sum() * tv2
+    return EnergyResult(value, "spectral_quadrature", float(mass @ bounds + half_gap + rules))
 
 
 # the spectral route of each (kernel class, measure type) pair the library supports
@@ -305,7 +296,12 @@ def energy_spectral(k, mu) -> EnergyResult:
         raise UnsupportedCombinationError(
             f"no spectral energy for family {k.family} and a {type(mu).__name__}")
     _require_same_space(k, mu)
-    return route(k, mu)
+    with np.errstate(all="ignore"):
+        res = route(k, mu)
+    if not (math.isfinite(res.value) and math.isfinite(res.error_bound)):
+        raise UnsupportedCombinationError(f"the spectral energy of {k.family} and a "
+                                          f"{type(mu).__name__} leaves the float range")
+    return res
 
 
 # ---------------------------------------------------------------------------

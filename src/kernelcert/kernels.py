@@ -133,8 +133,8 @@ class FamilySpec:
     ``numerics.AxisTailRule`` (a1) or ``numerics.SeriesTail`` (a2),
     ``support`` the :class:`SpectralSupport` (a1/a2; ``None`` means full
     support), ``mixing`` the rate-mixing :class:`SpectralMeasure`
-    (a3/constant), ``quadrature(n_nodes)`` the Gaussian components of a
-    mixing density, and ``taylor`` the :class:`TaylorCoefficients` (a4).
+    (a3/constant), ``quadrature`` the lower and upper rate rules of a mixing
+    density, and ``taylor`` the :class:`TaylorCoefficients` (a4).
     ``integrable`` says whether an a1 profile is integrable.  ``joint``
     checks the validated parameters together, raising
     :class:`KernelConfigError`.
@@ -354,19 +354,42 @@ def _imq_joint(beta, c):
                                 f"c^(-2 beta) = exp({log_k0:.6g}) leaves the normal float range")
 
 
-def _imq_quadrature(n_nodes, beta, c):
-    """Generalized Gauss-Laguerre discretization of the Gamma-type mixing.
-    Raises where a rate or mass is not finite: the rule's weights overflow
-    from beta near 170, and c^(2 beta) can under- or overflow."""
-    u, w = roots_genlaguerre(n_nodes, beta - 1.0)
+# Nodes of the inverse multiquadric's lower rate rule; its upper rule has one more.
+_IMQ_NODES = 32
+# Round-off of a mixture energy per unit of the rules' total mass, times TV^2:
+# a float rule moves a pair value by sum_r |dm_r| + m_r |dt_r| / (e t_r), below
+# 132 u of its mass against 60-digit rules for beta in [1e-8, 170].  160 u is
+# allowed, and the value's and gap's sums over rates and pairs take 96 u more.
+_MIXING_ROUNDOFF = 256 * 2.0 ** -53
+
+
+def _imq_quadrature(beta, c):
+    """Lower and upper rate rules of the Gamma mixing, in u = c^2 t.  As
+    e^(-r^2 t) is completely monotone, the n-node generalized Gauss-Laguerre
+    rule underestimates, and the (n+1)-node Gauss-Radau rule with a node at 0
+    overestimates (Golub & Meurant, Matrices, Moments and Quadrature, 2010).
+    Radau's other nodes v_i are the Gauss nodes of u^beta e^(-u), weighted
+    lambda_i / v_i; its weight at 0 is n! Gamma(beta) Gamma(beta+1) /
+    Gamma(n+beta+1) in log space (Gamma(beta) less the others cancels).  Each
+    rule sums to k(0) = c^(-2 beta); a rate or mass out of float range raises."""
+    n = _IMQ_NODES
     with np.errstate(all="ignore"):
-        rates = u / (c * c)
-        masses = w * (math.exp(-gammaln(beta)) / np.float64(c) ** (2.0 * beta))
-    if not (np.isfinite(rates).all() and np.isfinite(masses).all()):
+        u, lam = roots_genlaguerre(n, beta - 1.0)
+        # that rule is for the shape (beta - 1) + 1, which below beta = 0.5 is
+        # beta rounded to an absolute 2^-54; its least node is proportional to it
+        u[0] *= beta / ((beta - 1.0) + 1.0)
+        v, lam_v = roots_genlaguerre(n, beta)
+        w0 = math.exp(gammaln(n + 1.0) + gammaln(beta + 1.0) - gammaln(n + beta + 1.0))
+        radau = np.concatenate(([w0], beta * lam_v / (lam_v.sum() * v)))
+        k0 = np.float64(c) ** (-2.0 * beta)
+        rates = np.concatenate((u, [0.0], v)) / (c * c)
+        lower = np.concatenate((lam / lam.sum(), np.zeros(n + 1))) * k0
+        upper = np.concatenate((np.zeros(n), radau / radau.sum())) * k0
+    if not np.isfinite([rates, lower, upper]).all():
         raise UnsupportedKernelOperation(
             f"the mixing quadrature of inverse_multiquadric(beta={beta:g}, c={c:g}) "
             "leaves the float range")
-    return tuple(zip(rates.tolist(), masses.tolist()))
+    return rates, lower, upper
 
 
 def _exp_tail(q, degree):
@@ -694,19 +717,18 @@ def spectral(k: KernelDescriptor) -> SpectralMeasure:
     )
 
 
-def mixing_components(k: KernelDescriptor, n_nodes=24):
-    """Gaussian-rate components (t_i, m_i) of a radial kernel.
-
-    Exact for atomic mixings; a mixing density is discretized by the
-    family's quadrature rule of ``n_nodes`` points (exactness flag returned
-    alongside).
-    """
+def mixing_components(k: KernelDescriptor):
+    """Gaussian rates t_r of a radial kernel with a lower and an upper mass
+    each: every pair value sum_r m_r e^(-t_r r^2) is at most the kernel's
+    under the lower masses and at least under the upper, up to
+    ``_MIXING_ROUNDOFF``.  An atomic mixing is its own lower and upper rule."""
     spec = family_spec(k)
     if spec.mixing is None:
         raise UnsupportedKernelOperation(f"{k.family} is not a radial mixture")
     if spec.quadrature is None:
-        return spectral(k).mixing_atoms, True
-    return spec.quadrature(n_nodes, **dict(k.params)), False
+        rates, masses = np.array(spectral(k).mixing_atoms, dtype=float).reshape(-1, 2).T
+        return rates, masses, masses
+    return spec.quadrature(**dict(k.params))
 
 
 # per-axis transforms with certified error, consumed by the energy code

@@ -11,6 +11,7 @@ density on the line whose transform occupies two compact bands.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,10 +37,13 @@ class InvalidMeasureError(ValueError):
 
 
 def _number(name, v, ok, what, error=InvalidMeasureError):
-    """``v`` as a finite float passing ``ok``, else ``error``: ``name`` must ``what``."""
+    """``v`` as a finite float passing ``ok``, else ``error``: ``name`` must ``what``.
+    Only a real number is one: a bool or a string is refused."""
     try:
+        if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
+            raise TypeError
         v = float(v)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise error(f"{name} must be a number, got {v!r}") from None
     if not (math.isfinite(v) and ok(v)):
         raise error(f"{name} must {what}, got {v}")
@@ -437,9 +441,13 @@ def measure_from_json(doc):
     if "atoms" in doc:
         if not isinstance(doc["atoms"], list):
             raise InvalidMeasureError("atoms must be a list")
+        atoms = []
         for entry in doc["atoms"]:
             _require_fields(entry, {"x", "w"}, "atom")
-        return construct(space, [(entry["x"], entry["w"]) for entry in doc["atoms"]])
+            x = entry["x"] if isinstance(entry["x"], list) else [entry["x"]]
+            atoms.append(([_number("x", v, math.isfinite, "be finite") for v in x],
+                          _number("w", entry["w"], math.isfinite, "be finite")))
+        return construct(space, atoms)
     dens = doc["density"]
     if not isinstance(dens, dict):
         raise InvalidMeasureError("density document must be an object")

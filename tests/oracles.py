@@ -237,6 +237,62 @@ def gl_panel_error(density, edges, d, dps=30):
         return abs(2 * rule - 2 * mp.quad(lambda w: mp.cos(w * d) * density(w), pts))
 
 
+def imq_energy(atoms, beta, c, dps=40):
+    """sum_ij w_i w_j (c^2 + |x_i - x_j|^2)^(-beta) to ``dps`` digits, the
+    float inputs taken exactly."""
+    with mp.workdps(dps):
+        beta, c2 = mp.mpf(beta), mp.mpf(c) ** 2
+        return mp.fsum(mp.mpf(wi) * mp.mpf(wj)
+                       * (c2 + mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(xi, xj)))
+                       ** -beta for xi, wi in atoms for xj, wj in atoms)
+
+
+def _laguerre_gauss(n, alpha, start):
+    """The n-point Gauss rule of u^alpha e^(-u) at the working precision:
+    the roots of L_n^(alpha) by Newton's method from the float nodes
+    ``start`` (L_n' = -L_(n-1)^(alpha+1)), and weights
+    Gamma(n + alpha + 1) / (n! x L_n'(x)^2)."""
+    nodes, weights = [], []
+    for x in map(mp.mpf, start):
+        for _ in range(6):
+            x += mp.laguerre(n, alpha, x) / mp.laguerre(n - 1, alpha + 1, x)
+        nodes.append(x)
+        weights.append(mp.gamma(n + alpha + 1)
+                       / (mp.factorial(n) * x * mp.laguerre(n - 1, alpha + 1, x) ** 2))
+    return nodes, weights
+
+
+def imq_rate_rules(beta, c, n, dps=60):
+    """The inverse multiquadric's lower and upper rate rules to ``dps``
+    digits, as (rates, masses) pairs: the n-point Gauss rule of
+    t^(beta-1) e^(-c^2 t) / Gamma(beta) times c^(-2 beta) in the rate t, and
+    the (n+1)-point Gauss-Radau rule with a node at 0.  The Radau weight at 0
+    is Gamma(beta) less the other weights, which cancels (by about
+    log10 C(n + beta, n) digits): hence the default of 60 digits."""
+    from scipy.special import roots_genlaguerre
+
+    with mp.workdps(dps):
+        b, c2 = mp.mpf(beta), mp.mpf(c) ** 2
+        scale = c2 ** -b / mp.gamma(b)
+        u, lam = _laguerre_gauss(n, b - 1, roots_genlaguerre(n, beta - 1.0)[0])
+        v, lam_v = _laguerre_gauss(n, b, roots_genlaguerre(n, beta)[0])
+        inner = [w / x for x, w in zip(v, lam_v)]
+        lower = ([x / c2 for x in u], [w * scale for w in lam])
+        upper = ([mp.mpf(0)] + [x / c2 for x in v],
+                 [(mp.gamma(b) - mp.fsum(inner)) * scale] + [w * scale for w in inner])
+        return lower, upper
+
+
+def rule_deviation(rates, masses, exact):
+    """sum_r |m_r - M_r| + M_r |t_r - T_r| / (e T_r) over sum_r M_r: how far
+    the float rule (``rates``, ``masses``) moves any pair value
+    sum_r m_r e^(-t_r s), s >= 0, from the exact rule's, per unit mass."""
+    T, M = exact
+    dev = mp.fsum(abs(mp.mpf(m) - Mr) + (Mr * abs(mp.mpf(t) - Tr) / (mp.e * Tr) if Tr else 0)
+                  for t, m, Tr, Mr in zip(rates, masses, T, M))
+    return dev / mp.fsum(M)
+
+
 def modsincsq_l1_core(alpha, omega0, X=60):
     """2 int_0^X |2 alpha cos(omega0 x) sin^2 x / x^2| dx to 20 digits,
     piecewise between the zeros of cos(omega0 x) and of sin x."""

@@ -73,6 +73,15 @@ BAD_KERNELS = {
     "sigma-10**400": {**KERNELS["gaussian_ti"], "params": {"sigma": 10 ** 400}},
 }
 
+# JSON strings and booleans that were read as numbers, with exit 0
+NOT_NUMBERS = {
+    "sigma-true": ("--kernel", {**KERNELS["gaussian_ti"], "params": {"sigma": True}}),
+    "sigma-string": ("--kernel", {**KERNELS["gaussian_ti"], "params": {"sigma": "2.0"}}),
+    "alpha-string": ("--measure", _density(TORUS_COSINE, alpha="1.5")),
+    "atom-strings": ("--measure", {**atoms_doc(), "atoms": [{"x": ["0.5"], "w": "1"}]}),
+    "atom-true": ("--measure", {**atoms_doc(), "atoms": [{"x": [True], "w": -1}]}),
+}
+
 
 class TestBoundaryTable:
     """Inputs that raised a traceback, or computed NaNs and warned before
@@ -91,13 +100,23 @@ class TestBoundaryTable:
         kernel.write_text(json.dumps(doc))
         assert_clean(*run_cli(["certify", "--kernel", kernel, "--property", "strictly-pd"]))
 
+    @pytest.mark.parametrize("option,doc", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+    def test_json_numbers_only(self, tmp_path, option, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        verb = "kernel-eval" if option == "--kernel" else "measure-ft"
+        rc, out, err, runtime = run_cli([verb, option, path, "--samples", "0.5"])
+        assert_clean(rc, out, err, runtime)
+        assert "must be a number" in err
+
     @pytest.mark.parametrize("verb,samples,cause", [
         ("experiment-converge", "10,1e400", "'1e400' has a non-finite"),
         ("experiment-converge", "0,5", "sample sizes must be positive"),
+        ("experiment-converge", "2.7,5.9,9.2", "sample size 2.7 is not an integer"),
         ("kernel-eval", "1e400", "'1e400' has a non-finite"),
         ("kernel-spectrum", "nan", "'nan' has a non-finite"),
         ("measure-ft", "1e400", "'1e400' has a non-finite"),
-    ], ids=["converge-1e400", "converge-0", "kernel-eval-1e400", "kernel-spectrum-nan",
+    ], ids=["converge-1e400", "converge-0", "converge-2.7", "kernel-eval-1e400", "kernel-spectrum-nan",
             "measure-ft-1e400"])
     def test_samples_refused_before_any_work(self, tmp_path, verb, samples, cause):
         measure = tmp_path / "m.json"
@@ -130,7 +149,7 @@ class TestBoundaryTable:
 # a fuzzer over one-value mutations of valid documents
 # ---------------------------------------------------------------------------
 
-REPLACEMENTS = [None, [1], {}, "x", True, -1, 0, 2 ** 63, math.inf]
+REPLACEMENTS = [None, [1], {}, "x", "2.0", True, -1, 0, 2 ** 63, math.inf]
 
 
 def _paths(doc, prefix=()):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 import kernelcert as kc
+import oracles
+from kernelcert import embedding
 from kernelcert.cli import main
 
 PI = math.pi
@@ -61,7 +64,16 @@ class TestEnergyVerb:
                            "--measure", far, "--method", "both")
         assert rc == 1 and out == "" and "panels" in err
 
-    def test_routes_that_disagree_exit_1(self, capsys, tmp_path):
+    def test_routes_that_disagree_exit_1(self, capsys, tmp_path, monkeypatch):
+        # the spectral route shifted by ten times the summed bounds
+        route = embedding.energy_spectral
+
+        def shifted(k, mu):
+            res = route(k, mu)
+            bounds = res.error_bound + embedding.energy_spatial(k, mu).error_bound
+            return dataclasses.replace(res, value=res.value + 10.0 * bounds)
+
+        monkeypatch.setattr(embedding, "energy_spectral", shifted)
         kernel = write_measure(tmp_path, "k.json", {
             "family": "inverse_multiquadric", "space": {"kind": "euclidean", "dim": 1},
             "params": {"beta": 1.0, "c": 0.03}})
@@ -72,6 +84,22 @@ class TestEnergyVerb:
                            "--method", "both")
         assert rc == 1 and out == "" and err.startswith("error:")
         assert "beyond their summed bounds" in err
+
+    def test_inverse_multiquadric_spectral_within_its_bound(self, capsys, tmp_path):
+        # c small against the atom spacing: two Gauss-Laguerre rules once
+        # agreed on 2500.0 within 1.75e-11, where the energy is 2497.90
+        atoms = [([0.0], 1.0), ([3.3], 0.5), ([1.0], -1.0)]
+        kernel = write_measure(tmp_path, "k.json", {
+            "family": "inverse_multiquadric", "space": {"kind": "euclidean", "dim": 1},
+            "params": {"beta": 1.0, "c": 0.03}})
+        measure = write_measure(tmp_path, "m.json", {
+            "space": {"kind": "euclidean", "dim": 1},
+            "atoms": [{"x": x, "w": w} for x, w in atoms]})
+        rc, out, _ = run(capsys, "energy", "--kernel", kernel, "--measure", measure,
+                         "--method", "spectral")
+        spectral = json.loads(out)["spectral"]
+        exact = oracles.imq_energy(atoms, 1.0, 0.03)
+        assert rc == 0 and abs(spectral["value"] - exact) <= spectral["error_bound"]
 
     def test_unsupported_combination_is_domain_error(self, capsys, antipodal):
         rc, _, err = run(capsys, "energy", "--kernel", str(ZOO / "gaussian_ti.json"),
@@ -312,6 +340,23 @@ class TestBadInput:
             rc, out, err = run(capsys, "energy", "--kernel", str(ZOO / "gaussian_ti.json"),
                                "--measure", path, "--method", "spatial")
         assert rc == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("family,kind", [
+        ("gaussian_ti", "euclidean"), ("dirichlet", "torus"), ("radial_gaussian", "euclidean"),
+        ("constant", "euclidean")], ids=["a1", "a2", "a3", "constant"])
+    def test_spectral_route_beyond_the_float_range(self, capsys, tmp_path, family, kind):
+        # these weights once overflowed with RuntimeWarnings and were refused
+        # only by the JSON writer, which named no cause
+        measure = write_measure(tmp_path, "m.json", {
+            "space": {"kind": kind, "dim": 1},
+            "atoms": [{"x": [0.0], "w": 1e200}, {"x": [0.5], "w": -1e200},
+                      {"x": [1.7], "w": 0.5e200}]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "energy", "--kernel", str(ZOO / f"{family}.json"),
+                               "--measure", measure, "--method", "spectral")
+        assert rc == 1 and out == "" and err.startswith("error:")
+        assert "float range" in err
 
     @pytest.mark.parametrize("family,params,weight,cause", [
         ("radial_atoms", {"atoms": [[0.0, 1e308], [0.0, 1e308]]}, 1.0, "float range"),

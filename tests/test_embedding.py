@@ -379,6 +379,25 @@ class TestEmbedEval:
                 kc.embed_eval(k, mu, 0.0)
 
 
+HUGE_ATOMS = [([0.0], 1e200), ([0.5], -1e200), ([1.7], 0.5e200)]
+
+
+@pytest.mark.parametrize("k,mu", [
+    (kc.gaussian_ti(1.0), kc.construct(E1, HUGE_ATOMS)),
+    (kc.dirichlet(3), kc.construct(kc.torus(1), HUGE_ATOMS)),
+    (kc.radial_gaussian(1.0), kc.construct(E1, HUGE_ATOMS)),
+    (kc.constant(2.0), kc.construct(E1, HUGE_ATOMS)),
+    (kc.dirichlet(3), kc.TorusCosine(1e200, 2, kc.torus(1))),
+    (kc.gaussian_ti(1.0), kc.ModulatedSincSq(1e200, 1.0, E1)),
+], ids=["a1", "a2", "a3", "constant", "a2-torus_cosine", "a1-band"])
+def test_spectral_overflow_refused_without_warning(k, mu):
+    # the density routes once raised OverflowError out of alpha ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedCombinationError, match="float range"):
+            kc.energy_spectral(k, mu)
+
+
 class TestMMD:
     def test_identical_measures(self):
         P = random_probability(E1, 4, np.random.default_rng(0))

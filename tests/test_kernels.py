@@ -13,7 +13,10 @@ from kernelcert.kernels import (
     UnsupportedKernelOperation,
     axis_spectral_transform,
     _axis_profile,
+    _IMQ_NODES,
+    _MIXING_ROUNDOFF,
     family_spec,
+    mixing_components,
     pair_lags,
 )
 from kernelcert.measures import SpaceMismatchError
@@ -207,6 +210,31 @@ class TestSpectral:
         spec = kc.spectral(kc.inverse_multiquadric(1.5, 2.0))
         t = np.array([0.5, 1.0, 3.0])
         assert np.all(spec.mixing_density(t) > 0)
+
+    @pytest.mark.parametrize("beta,c", [(1e-8, 1.0), (1e-3, 0.3), (0.1, 1.0), (0.7, 2.0),
+                                        (1.0, 0.03), (2.5, 3.0), (20.0, 1.0), (100.0, 1.5)])
+    def test_imq_rate_rules_against_exact_rules(self, beta, c):
+        # each float rule's own round-off, of the 256 u in _MIXING_ROUNDOFF
+        rates, lower, upper = mixing_components(kc.inverse_multiquadric(beta, c))
+        n = _IMQ_NODES
+        exact_lower, exact_upper = oracles.imq_rate_rules(beta, c, n)
+        assert oracles.rule_deviation(rates[:n], lower[:n], exact_lower) <= 160 * 2.0 ** -53
+        assert oracles.rule_deviation(rates[n:], upper[n:], exact_upper) <= 160 * 2.0 ** -53
+        assert not lower[n:].any() and not upper[:n].any()
+
+    def test_imq_rate_rules_bracket_the_profile(self):
+        rates, lower, upper = mixing_components(kc.inverse_multiquadric(1.0, 0.5))
+        slack = _MIXING_ROUNDOFF * 2 * 4.0  # k(0) = 4
+        for r in [0.0, 0.1, 1.0, 3.0, 30.0]:
+            exact = 1.0 / (0.25 + r * r)
+            assert lower @ np.exp(-rates * r * r) <= exact + slack
+            assert upper @ np.exp(-rates * r * r) >= exact - slack
+            assert upper @ np.exp(-rates * r * r) - lower @ np.exp(-rates * r * r) > 0
+
+    def test_atomic_mixing_is_its_own_lower_and_upper_rule(self):
+        rates, lower, upper = mixing_components(kc.radial_atoms([(0.5, 1.0), (2.0, 0.5)]))
+        assert rates.tolist() == [0.5, 2.0]
+        assert lower.tolist() == upper.tolist() == [1.0, 0.5]
 
     def test_taylor_has_no_spectrum(self):
         with pytest.raises(UnsupportedKernelOperation):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import kernelcert as kc
 
 from conftest import random_discrete
+from oracles import imq_energy
 
 SPECTRAL_FAMILIES = {
     "gaussian_ti": lambda d: kc.gaussian_ti(1.0, d),
@@ -71,14 +72,12 @@ def test_median_spectral_bound_does_not_grow(index, name):
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(["laplacian_ti", "quadpoly_torus", "inverse_multiquadric"]),
        n=st.integers(2, 20), d=st.sampled_from([1, 2, 3]),
-       spread=st.sampled_from([1e-6, 1e-2, 1.0, 1.5]),
+       spread=st.sampled_from([1e-6, 1e-2, 1.0, 1.5, 6.0]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_fast_spectral_routes_agree_with_spatial(name, n, d, spread, seed):
     k = SPECTRAL_FAMILIES[name](d)
     rng = np.random.default_rng(seed)
-    # Lags from ~1e-7 to ~10.  The scale stops at the acceptance suite's
-    # 1.5: with atoms about 20 apart the inverse multiquadric's 48/24-node
-    # Laguerre discretization estimate falls short of its true error.
+    # lags from ~1e-7 to ~40
     pts = rng.normal(0.0, spread, (n, d))
     if k.space.is_torus:
         pts = np.mod(pts, 2 * np.pi)
@@ -87,6 +86,29 @@ def test_fast_spectral_routes_agree_with_spatial(name, n, d, spread, seed):
     sp = kc.energy_spatial(k, mu)
     se = kc.energy_spectral(k, mu)
     assert abs(sp.value - se.value) <= sp.error_bound + se.error_bound
+
+
+# atoms 0, 3.3 and 1 weighted 1, 0.5 and -1: where c is small against their
+# spacing, the estimate from two Gauss-Laguerre rules once read near 0
+IMQ_ATOMS = [([0.0], 1.0), ([3.3], 0.5), ([1.0], -1.0)]
+
+
+@pytest.mark.parametrize("beta,c", [(1.0, 1.0), (1.0, 0.1), (1.0, 0.03), (1.0, 1e-3),
+                                    (0.5, 1e-3), (1e-8, 1.0)])
+def test_inverse_multiquadric_within_its_bound_of_exact(beta, c):
+    k = kc.inverse_multiquadric(beta, c, 1)
+    se = kc.energy_spectral(k, kc.construct(k.space, IMQ_ATOMS))
+    assert abs(mp.mpf(se.value) - imq_energy(IMQ_ATOMS, beta, c)) <= se.error_bound
+
+
+@pytest.mark.parametrize("d,seed", [(3, 2), (1, 3)])
+def test_inverse_multiquadric_far_atoms_within_its_bound_of_exact(d, seed):
+    # two atoms 23 and 27.6 apart, where the two-rule estimate fell short
+    rng = np.random.default_rng(seed)
+    atoms = list(zip(rng.normal(0.0, 6.0, (2, d)).tolist(), rng.normal(0.0, 1.0, 2).tolist()))
+    k = kc.inverse_multiquadric(1.0, 2.0, d)
+    se = kc.energy_spectral(k, kc.construct(k.space, atoms))
+    assert abs(mp.mpf(se.value) - imq_energy(atoms, 1.0, 2.0)) <= se.error_bound
 
 
 @pytest.mark.parametrize("g", [1e5, 1.6e6])
